@@ -24,19 +24,34 @@ SETTINGS = ("standard", "warm", "sparsify", "noisify")
 
 
 def rank_candidates(scores, excluded, k):
-    """Top-k item indices by descending score, ties broken by ascending index."""
+    """Top-k item indices by descending score, ties broken by ascending index.
+
+    ``excluded`` holds integer item ids that are never returned; ids outside
+    ``[0, len(scores))`` are ignored. ``-inf`` ranks below every finite score
+    and NaN below ``-inf``. Fewer than ``k`` indices come back when fewer
+    items are left.
+
+    The k-th best kept score is found by selection (``np.partition``); only
+    the items at or above it, every tie at the cut included, are sorted.
+    """
     if k < 1:
         raise IntegrityError(f"k must be >= 1, got {k}")
     scores = np.asarray(scores).reshape(-1)
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    out = []
-    for idx in order:
-        if int(idx) in excluded:
-            continue
-        out.append(int(idx))
-        if len(out) == k:
-            break
-    return out
+    n = scores.shape[0]
+    key = -scores
+    kept = np.ones(n, dtype=bool)
+    kept[[i for i in excluded if 0 <= i < n]] = False
+    kept_key = key[kept]
+    cand = None
+    if k < kept_key.shape[0]:
+        cut = np.partition(kept_key, k - 1)[k - 1]
+        if not np.isnan(cut):
+            cand = np.flatnonzero((key <= cut) & kept)
+    if cand is None:
+        # nothing to select, or NaN at the cut: sort every kept item
+        cand = np.flatnonzero(kept)
+    order = np.lexsort((cand, key[cand]))
+    return cand[order[:k]].tolist()
 
 
 def recall_at_k(ranked, targets, k):

@@ -22,7 +22,7 @@ try:
     from numba import njit
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency, but degrade politely
+except ImportError:  # numba is the optional "jit" extra; the numpy path is complete
     _HAVE_NUMBA = False
 
 USE_NUMBA = _HAVE_NUMBA and _ENV_FLAG not in ("0", "false", "no", "off")

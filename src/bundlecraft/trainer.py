@@ -31,7 +31,14 @@ from .bundle_encoder import BundleEncoderParams, encode_bundle, init_bundle_para
 from .cf_pretrain import CfEmbeddings
 from .contrastive import AugmentationConfig, augment_bundle, augment_inputs, info_nce
 from .corpus import sample_partial, split_bundles, warm_items
-from .errors import ConfigError, DivergenceError, IntegrityError, NonFiniteError, ShapeError
+from .errors import (
+    ConfigError,
+    CorpusFormatError,
+    DivergenceError,
+    IntegrityError,
+    NonFiniteError,
+    ShapeError,
+)
 from .evaluation import ndcg_at_k, rank_candidates, recall_at_k
 from .item_encoder import (
     ItemEncoderParams,
@@ -437,35 +444,62 @@ def save_checkpoint(path, model, epoch=0, metrics=None):
 
 
 def load_checkpoint(path):
-    """Rebuild a :class:`Model` (and its metadata) from a checkpoint file."""
-    from .errors import CorpusFormatError
+    """Rebuild a :class:`Model` (and its metadata) from a checkpoint file.
 
+    A truncated file, an unreadable header or one missing a key, and a
+    payload that does not match the header's manifest all raise
+    :class:`CorpusFormatError`.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CKPT_MAGIC:
         raise CorpusFormatError(f"{path}: bad magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+
+    def need(offset, size):
+        if offset + size > len(blob):
+            raise CorpusFormatError(
+                f"{path}: truncated, {size} bytes needed at offset {offset} of {len(blob)}")
+
+    def unpack(fmt, offset):
+        need(offset, struct.calcsize(fmt))
+        return struct.unpack_from(fmt, blob, offset)
+
+    (version,) = unpack("<I", 4)
     if version != CKPT_VERSION:
         raise CorpusFormatError(f"{path}: unsupported version {version}")
-    (jlen,) = struct.unpack_from("<I", blob, 8)
-    header = json.loads(blob[12 : 12 + jlen].decode("utf-8"))
+    (jlen,) = unpack("<I", 8)
+    need(12, jlen)
+    try:
+        header = json.loads(blob[12 : 12 + jlen])
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: header is not UTF-8 JSON: {exc}") from exc
+    missing = [key for key in ("config", "epoch", "metrics", "matrices")
+               if not isinstance(header, dict) or key not in header]
+    if missing:
+        raise CorpusFormatError(f"{path}: header lacks {', '.join(missing)}")
     offset = 12 + jlen
     arrays = {}
     while offset < len(blob):
-        (nlen,) = struct.unpack_from("<I", blob, offset)
+        (nlen,) = unpack("<I", offset)
         offset += 4
-        name = blob[offset : offset + nlen].decode("utf-8")
+        need(offset, nlen)
+        # a damaged name fails the manifest check below
+        name = blob[offset : offset + nlen].decode("utf-8", errors="replace")
         offset += nlen
-        rows, cols = struct.unpack_from("<II", blob, offset)
+        rows, cols = unpack("<II", offset)
         offset += 8
         count = rows * cols
+        need(offset, count * 4)
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(rows, cols)
         arrays[name] = arr.copy()
         offset += count * 4
     if set(arrays) != set(header["matrices"]):
         raise CorpusFormatError(f"{path}: matrix manifest does not match payload")
 
-    config = config_from_dict(header["config"])
+    try:
+        config = config_from_dict(header["config"])
+    except (KeyError, TypeError) as exc:
+        raise CorpusFormatError(f"{path}: bad config in header: {exc!r}") from exc
     dtype = nm.DTYPES[config.precision]
     item_params = ItemEncoderParams(
         w_c=nm.parameter(arrays["W_c"], dtype),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -265,6 +266,47 @@ class TestCompleteCommand:
                      "--seeds", f"{token},{token}", "--k", "3"]) == 0
         captured = capsys.readouterr()
         assert "duplicate" in captured.err
+
+
+class TestMalformedCheckpoint:
+    def complete(self, data, model_path, token):
+        return main(["complete", "--model", str(model_path), "--data", str(data),
+                     "--seeds", token, "--k", "3"])
+
+    def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        _, _, data, _, model = pipeline
+        blob = Path(model).read_bytes()
+        (jlen,) = struct.unpack_from("<I", blob, 8)
+        token = C.load_dir(data)[0].item_tokens[0]
+        cut_path = tmp_path / "cut.ckpt"
+        # every header field boundary, then a stride through the matrices
+        lengths = sorted({0, 3, 4, 7, 8, 11, 12, 12 + jlen // 2, 12 + jlen - 1, 12 + jlen,
+                          12 + jlen + 2, *range(12 + jlen + 5, len(blob), 37), len(blob) - 1})
+        capsys.readouterr()
+        for n in lengths:
+            cut_path.write_bytes(blob[:n])
+            assert self.complete(data, cut_path, token) == 2, n
+            assert "Traceback" not in capsys.readouterr().err
+
+    def test_header_without_matrices_exits_2(self, pipeline, tmp_path):
+        _, _, data, _, model = pipeline
+        blob = Path(model).read_bytes()
+        (jlen,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + jlen])
+        del header["matrices"]
+        text = json.dumps(header, sort_keys=True).encode("utf-8")
+        bad = tmp_path / "no_matrices.ckpt"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + jlen :])
+        token = C.load_dir(data)[0].item_tokens[0]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bundlecraft.cli", "complete", "--model", str(bad),
+             "--data", str(data), "--seeds", token],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "matrices" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestExplainCommand:

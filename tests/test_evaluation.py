@@ -8,6 +8,45 @@ from bundlecraft.corpus import PartialBundleView
 from bundlecraft.errors import IntegrityError
 
 
+def rank_oracle(scores, excluded, k):
+    """Full lexsort of every score, then a walk that skips excluded ids."""
+    if k < 1:
+        raise IntegrityError(f"k must be >= 1, got {k}")
+    scores = np.asarray(scores).reshape(-1)
+    order = np.lexsort((np.arange(scores.shape[0]), -scores))
+    out = []
+    for idx in order:
+        if int(idx) in excluded:
+            continue
+        out.append(int(idx))
+        if len(out) == k:
+            break
+    return out
+
+
+def random_case(rng):
+    """Small scores with heavy ties, planted specials and a loose excluded set."""
+    n = int(rng.integers(0, 30))
+    if rng.random() < 0.5:
+        scores = rng.integers(-3, 4, size=n).astype(np.float64)
+    else:
+        scores = rng.normal(size=n)
+    specials = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0])
+    if n:
+        planted = rng.random(n) < rng.choice([0.0, 0.1, 0.4])
+        scores[planted] = rng.choice(specials, size=int(planted.sum()))
+    excluded = {int(i) for i in rng.integers(-3, n + 4, size=int(rng.integers(0, 8)))}
+    k = int(rng.integers(1, n + 5))
+    form = rng.choice(["list", "int list", "float32", "float64"])
+    if form == "list":
+        scores = scores.tolist()
+    elif form == "int list":
+        scores = rng.integers(-2, 3, size=n).tolist()
+    else:
+        scores = scores.astype(form)
+    return scores, excluded, k
+
+
 class TestRankCandidates:
     def test_plain_sort(self):
         assert ev.rank_candidates([3.0, 1.0, 2.0], set(), 2) == [0, 2]
@@ -20,6 +59,41 @@ class TestRankCandidates:
 
     def test_short_candidate_list(self):
         assert ev.rank_candidates([1.0, 2.0], {1}, 5) == [0]
+
+    def test_non_finite_last(self):
+        scores = [np.nan, -np.inf, 0.5, np.inf, -0.0, 0.0]
+        assert ev.rank_candidates(scores, set(), 6) == [3, 2, 4, 5, 1, 0]
+
+    def test_out_of_range_exclusions_ignored(self):
+        assert ev.rank_candidates([1.0, 2.0, 3.0], {-1, 3, 99, 2}, 3) == [1, 0]
+
+    def test_empty_scores(self):
+        assert ev.rank_candidates(np.zeros(0, np.float32), {0}, 3) == []
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(IntegrityError):
+            ev.rank_candidates([1.0], set(), 0)
+
+    def test_matches_full_sort_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(4000):
+            scores, excluded, k = random_case(rng)
+            assert ev.rank_candidates(scores, excluded, k) == rank_oracle(scores, excluded, k), (
+                scores, excluded, k)
+
+    def test_large_catalog_ties_at_the_cut(self):
+        rng = np.random.default_rng(12)
+        n, k = 50_000, 20
+        scores = rng.uniform(-1.0, 0.5, size=n).astype(np.float32)
+        tied = rng.choice(n, size=500, replace=False)
+        top = rng.choice(np.setdiff1d(np.arange(n), tied), size=10, replace=False)
+        scores[tied] = 0.75
+        scores[top] = 1.0
+        excluded = {int(tied[0]), int(top[0]), -5, n + 7}
+        got = ev.rank_candidates(scores, excluded, k)
+        assert got == rank_oracle(scores, excluded, k)
+        kept_tied = sorted(int(i) for i in tied[1:])
+        assert got == sorted(int(i) for i in top[1:]) + kept_tied[: k - 9]
 
 
 class TestMetrics:
