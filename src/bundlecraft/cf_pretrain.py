@@ -50,13 +50,11 @@ def propagate(user0, item0, graph, k_layers):
     """
     du = graph.user_degree[graph.user_idx].astype(user0.dtype)
     di = graph.item_degree[graph.item_idx].astype(user0.dtype)
-    coeff = np.ascontiguousarray(1.0 / (np.sqrt(du) * np.sqrt(di))) if graph.n_edges else np.zeros(0, dtype=user0.dtype)
+    coeff = 1.0 / (np.sqrt(du) * np.sqrt(di)) if graph.n_edges else np.zeros(0, dtype=user0.dtype)
     layers = [(user0, item0)]
     u_prev, i_prev = user0, item0
     for _ in range(k_layers):
-        u_next, i_next = kernels.propagate_step(
-            graph.user_idx, graph.item_idx, coeff, np.ascontiguousarray(u_prev), np.ascontiguousarray(i_prev)
-        )
+        u_next, i_next = kernels.propagate_step(graph.user_idx, graph.item_idx, coeff, u_prev, i_prev)
         layers.append((u_next, i_next))
         u_prev, i_prev = u_next, i_next
     return layers
@@ -107,11 +105,11 @@ def pretrain(graph, d, k_layers, epochs, lr, neg_samples, rng, reg=1e-4):
 
     for _ in range(epochs):
         order = rng.permutation(graph.n_edges)
-        us = np.ascontiguousarray(graph.user_idx[order])
-        pos = np.ascontiguousarray(graph.item_idx[order])
+        us = graph.user_idx[order]
+        pos = graph.item_idx[order]
         for _ in range(neg_samples):
             neg = _sample_negatives(us, per_user, n, rng)
-            kernels.bpr_epoch(user0, item0, us, pos, np.ascontiguousarray(neg), float(lr), float(reg))
+            kernels.bpr_epoch(user0, item0, us, pos, neg, float(lr), float(reg))
 
     layers = propagate(user0, item0, graph, k_layers)
     users, items = aggregate_layers(layers)
@@ -137,6 +135,8 @@ def load_cf(path):
         blob = fh.read()
     if blob[:4] != CF_MAGIC:
         raise CorpusFormatError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 24:
+        raise CorpusFormatError(f"{path}: truncated header, {len(blob)} of 24 bytes")
     version, m, n, d, k = struct.unpack_from("<IIIII", blob, 4)
     if version != CF_VERSION:
         raise CorpusFormatError(f"{path}: unsupported version {version}")

@@ -297,8 +297,22 @@ def cmd_explain(args):
     return 0
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to the ``sys.stderr`` of the moment it is emitted,
+    so a caller that swaps or closes ``sys.stderr`` after :func:`main`
+    returns does not leave the root logger writing to a stale stream."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def main(argv=None):
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s", force=True)
+    logging.basicConfig(handlers=[_StderrHandler()], level=logging.INFO, format="%(message)s",
+                        force=True)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

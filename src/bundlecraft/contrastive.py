@@ -91,54 +91,6 @@ def augment_inputs(inputs, mode, config, rng):
     raise IntegrityError(f"unknown item augmentation mode {mode!r}")
 
 
-def augment_item(item, params, mode, config, rng, slot_fill="projected", dtype=np.float32):
-    """Augment one item's raw features and re-encode; returns the 1 x d node."""
-    single = ItemInputs(
-        content=np.asarray(item.content, dtype=dtype).reshape(1, -1),
-        feedback=(
-            np.asarray(item.feedback, dtype=dtype).reshape(1, -1)
-            if item.feedback is not None
-            else np.zeros((1, params.w_p.shape[0]), dtype=dtype)
-        ),
-        feedback_present=np.asarray([item.feedback is not None]),
-        id_warm=np.asarray([not item.id_cold]),
-    )
-    if mode == "NA":
-        return encode_single_from_inputs(single, item.id_index, params, slot_fill, dtype)
-    aug = augment_inputs(single, mode, config, rng)
-    return encode_single_from_inputs(aug, item.id_index, params, slot_fill, dtype)
-
-
-def encode_single_from_inputs(single, id_index, params, slot_fill, dtype):
-    from .item_encoder import attention_over_slots, mean_of
-
-    slots = slot_nodes_single(single, id_index, params, slot_fill, dtype)
-    slots = attention_over_slots(slots, params.layers, params.d)
-    return mean_of(slots)
-
-
-def slot_nodes_single(single, id_index, params, slot_fill, dtype):
-    """Slot rows for one item, pulling its own row of the id table."""
-    from .item_encoder import _masked_mix
-
-    content = nm.constant(single.content, dtype)
-    projected_content = nm.matmul(content, params.w_c)
-    projected_feedback = nm.matmul(nm.constant(single.feedback, dtype), params.w_p)
-    fill = (
-        nm.matmul(content, params.w_p) if slot_fill == "raw" else projected_content
-    )
-    slot_fb = _masked_mix(single.feedback_present, projected_feedback, fill, dtype)
-    own_row = nm.take_rows(params.v, [id_index])
-    slot_id = _masked_mix(single.id_warm, own_row, projected_content, dtype)
-    slots = [projected_content, slot_fb, slot_id]
-    if single.forced_fallback is not None:
-        slots = [
-            _masked_mix(~single.forced_fallback[:, s], node, projected_content, dtype)
-            for s, node in enumerate(slots)
-        ]
-    return slots
-
-
 def augment_bundle(view, mode, config, rng, n_items):
     """Perturb a view's seed set; targets and bundle index are untouched."""
     seeds = sorted(view.seeds)

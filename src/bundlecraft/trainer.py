@@ -443,12 +443,37 @@ def save_checkpoint(path, model, epoch=0, metrics=None):
             fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
 
 
+def _check_manifest(path, config, manifest, arrays):
+    """Check that the manifest and the payload hold exactly the matrices the
+    config implies, each of the shape the config implies."""
+    dims = (config.d, config.l_layers, config.z_layers)
+    if not all(type(v) is int and v >= low for v, low in zip(dims, (1, 0, 0))):
+        raise CorpusFormatError(
+            f"{path}: config d, l_layers, z_layers must be integers >= 1, 0, 0, got {dims}")
+    layers = [f"item_{l}_{w}" for l in range(config.l_layers) for w in ("WK", "WQ")]
+    layers += [f"bundle_{z}_{w}" for z in range(config.z_layers) for w in ("WK", "WQ")]
+    expected = ["W_c", "W_p", "V", *layers, "cf_item_table"]
+    if manifest != expected:
+        raise CorpusFormatError(
+            f"{path}: matrix manifest {manifest!r} does not match the config's {expected}")
+    if set(arrays) != set(expected):
+        raise CorpusFormatError(f"{path}: matrix manifest does not match payload")
+    d = config.d
+    n_items, cf_dim = arrays["cf_item_table"].shape
+    shapes = {"W_c": (arrays["W_c"].shape[0], d), "W_p": (cf_dim, d), "V": (n_items, d)}
+    shapes.update({name: (d, d) for name in layers})
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise CorpusFormatError(
+                f"{path}: {name} is {arrays[name].shape}, the config implies {shape}")
+
+
 def load_checkpoint(path):
     """Rebuild a :class:`Model` (and its metadata) from a checkpoint file.
 
     A truncated file, an unreadable header or one missing a key, and a
-    payload that does not match the header's manifest all raise
-    :class:`CorpusFormatError`.
+    manifest or payload that does not match the matrices and shapes the
+    header's config implies all raise :class:`CorpusFormatError`.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -493,13 +518,12 @@ def load_checkpoint(path):
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(rows, cols)
         arrays[name] = arr.copy()
         offset += count * 4
-    if set(arrays) != set(header["matrices"]):
-        raise CorpusFormatError(f"{path}: matrix manifest does not match payload")
-
     try:
         config = config_from_dict(header["config"])
-    except (KeyError, TypeError) as exc:
-        raise CorpusFormatError(f"{path}: bad config in header: {exc!r}") from exc
+        cf_k_layers = int(header.get("cf_k_layers", 0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusFormatError(f"{path}: bad config or cf_k_layers in header: {exc!r}") from exc
+    _check_manifest(path, config, header["matrices"], arrays)
     dtype = nm.DTYPES[config.precision]
     item_params = ItemEncoderParams(
         w_c=nm.parameter(arrays["W_c"], dtype),
@@ -525,7 +549,7 @@ def load_checkpoint(path):
     cf = CfEmbeddings(
         user_table=np.zeros((0, arrays["cf_item_table"].shape[1]), dtype=np.float32),
         item_table=arrays["cf_item_table"],
-        k_layers=int(header.get("cf_k_layers", 0)),
+        k_layers=cf_k_layers,
     )
     model = Model(item_params=item_params, bundle_params=bundle_params, cf=cf, config=config)
     return model, header["epoch"], header["metrics"]

@@ -1,5 +1,8 @@
 import hashlib
+import io
 import json
+import logging
+import os
 import struct
 import subprocess
 import sys
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bundlecraft
 from bundlecraft import corpus as C
 from bundlecraft.cli import main
 
@@ -30,6 +34,14 @@ FAST_TRAIN = [
 
 def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def cli_subprocess(*args):
+    """Run the CLI in a fresh interpreter that imports this package."""
+    src = str(Path(bundlecraft.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "bundlecraft.cli", *args],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 @pytest.fixture(scope="module")
@@ -288,25 +300,54 @@ class TestMalformedCheckpoint:
             assert self.complete(data, cut_path, token) == 2, n
             assert "Traceback" not in capsys.readouterr().err
 
-    def test_header_without_matrices_exits_2(self, pipeline, tmp_path):
-        _, _, data, _, model = pipeline
+    def test_truncated_cf_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
+        _, _, data, cf, _ = pipeline
+        blob = Path(cf).read_bytes()
+        cut_path = tmp_path / "cut.cf"
+        out = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        # every length through the 24-byte header, then a stride through the tables
+        for n in [*range(25), *range(29, len(blob), 97), len(blob) - 1]:
+            cut_path.write_bytes(blob[:n])
+            code = main(["train", "--data", str(data), "--cf", str(cut_path), "--out", str(out)])
+            assert code == 2, n
+            assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def edited(self, model, tmp_path, edit):
+        """A copy of the checkpoint whose JSON header went through ``edit``."""
         blob = Path(model).read_bytes()
         (jlen,) = struct.unpack_from("<I", blob, 8)
         header = json.loads(blob[12 : 12 + jlen])
-        del header["matrices"]
+        edit(header)
         text = json.dumps(header, sort_keys=True).encode("utf-8")
-        bad = tmp_path / "no_matrices.ckpt"
+        bad = tmp_path / "edited.ckpt"
         bad.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + jlen :])
+        return bad
+
+    def complete_subprocess(self, data, model_path):
         token = C.load_dir(data)[0].item_tokens[0]
-        proc = subprocess.run(
-            [sys.executable, "-m", "bundlecraft.cli", "complete", "--model", str(bad),
-             "--data", str(data), "--seeds", token],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2
-        assert "matrices" in proc.stderr
+        proc = cli_subprocess("complete", "--model", str(model_path), "--data", str(data),
+                              "--seeds", token)
+        assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+        return proc.stderr
+
+    def test_header_without_matrices_exits_2(self, pipeline, tmp_path):
+        _, _, data, _, model = pipeline
+        bad = self.edited(model, tmp_path, lambda header: header.pop("matrices"))
+        assert "matrices" in self.complete_subprocess(data, bad)
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: header.update(matrices=5),
+        lambda header: header["config"].update(l_layers=2),
+        lambda header: header["config"].update(d=16),
+        lambda header: header.update(cf_k_layers="x"),
+    ], ids=["matrices_not_a_list", "layer_count", "width", "cf_k_layers"])
+    def test_header_disagreeing_with_payload_exits_2(self, pipeline, tmp_path, edit):
+        _, _, data, _, model = pipeline
+        err = self.complete_subprocess(data, self.edited(model, tmp_path, edit))
+        assert "config" in err
 
 
 class TestExplainCommand:
@@ -400,15 +441,23 @@ def test_complete_dominated_by_seed_topic(tmp_path, capsys):
 def test_console_script_subprocess(pipeline, tmp_path):
     _, spec_path, _, _, _ = pipeline
     out = tmp_path / "sub"
-    proc = subprocess.run(
-        [sys.executable, "-m", "bundlecraft.cli", "synth", "--spec", str(spec_path),
-         "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
+    proc = cli_subprocess("synth", "--spec", str(spec_path), "--out", str(out))
     assert proc.returncode == 0
     assert (out / "manifest.json").exists()
 
 
 def test_usage_error_exits_2():
     assert main(["eval", "--badflag"]) == 2
+
+
+def test_logging_follows_stderr_swap(monkeypatch):
+    """A record logged after main() returns goes to the sys.stderr of that
+    moment, not to the one main() saw."""
+    first = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", first)
+    assert main(["eval", "--badflag"]) == 2
+    first.close()
+    second = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", second)
+    logging.getLogger("bundlecraft.corpus").warning("after the swap")
+    assert second.getvalue() == "after the swap\n"

@@ -12,7 +12,7 @@ from bundlecraft.cf_pretrain import CfEmbeddings, pretrain
 from bundlecraft.config import DEFAULTS, train_config
 from bundlecraft.contrastive import AugmentationConfig
 from bundlecraft.corpus import PartialBundleView, sample_partial, warm_items
-from bundlecraft.errors import DivergenceError, IntegrityError
+from bundlecraft.errors import CorpusFormatError, DivergenceError, IntegrityError
 from bundlecraft.evaluation import make_scorer
 from bundlecraft.item_encoder import ItemInputs, build_item_inputs
 from bundlecraft.synth import SynthSpec, generate
@@ -278,6 +278,18 @@ class TestCheckpoint:
         s2 = make_scorer(loaded, inputs2)
         seeds = sorted(catalog.bundles[result.split[2][0]])[:2]
         assert s1(seeds).tobytes() == s2(seeds).tobytes()
+
+    @pytest.mark.parametrize("name", ["W_p", "V", "item_0_WK", "bundle_0_WQ"])
+    def test_shape_disagreeing_with_config_rejected(self, tiny_corpus, tmp_path, name):
+        catalog, features, _, cf = tiny_corpus
+        model = tr.init_model(catalog.n_items, features.text.shape[1], cf, small_config(),
+                              np.random.default_rng(0))
+        node = dict(model.named_trainables())[name]
+        node.value = node.value[:-1]
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(path, model)
+        with pytest.raises(CorpusFormatError, match=name):
+            tr.load_checkpoint(path)
 
 
 @pytest.mark.slow
