@@ -6,18 +6,26 @@ L2 decay), then propagated through symmetric degree-normalized graph layers
 and aggregated by a true mean over layers 0..K. The exported item vectors
 are frozen inputs to the bundle model and are never updated by it.
 
+The ranking updates are applied in batched runs that touch no row twice and
+negatives are drawn for a whole epoch at once, so CF checkpoints differ from
+those written by the earlier per-update loop at the same seed; the same seed
+still writes the same bytes.
+
 Checkpoint format: magic ``CFE1``, u32 LE version, u32 LE M, N, d, K, then
 the user table and item table as float32 LE values row-major.
 """
 
 import logging
+import math
+import numbers
 import struct
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import CorpusFormatError
+from .errors import ConfigError, CorpusFormatError, NonFiniteError
 
 log = logging.getLogger(__name__)
 
@@ -38,7 +46,7 @@ class CfEmbeddings:
 
 def xavier_uniform(rows, cols, rng, dtype=np.float64):
     bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype)
+    return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype, copy=False)
 
 
 def propagate(user0, item0, graph, k_layers):
@@ -61,24 +69,56 @@ def propagate(user0, item0, graph, k_layers):
 
 
 def aggregate_layers(layers):
-    """Element-wise mean over the K+1 per-layer tables."""
-    users = np.mean([u for u, _ in layers], axis=0)
-    items = np.mean([i for _, i in layers], axis=0)
-    return users, items
+    """Element-wise mean over the K+1 per-layer tables.
+
+    Sums in layer order and divides once, the bits ``np.mean`` over the
+    stacked tables gives, without building the stack.
+    """
+    users, items = layers[0][0].copy(), layers[0][1].copy()
+    for u, i in layers[1:]:
+        users += u
+        items += i
+    return users / len(layers), items / len(layers)
 
 
-def _sample_negatives(users, per_user_sets, n_items, rng):
-    """One uniform unobserved negative per positive, by rejection."""
-    neg = np.empty(users.shape[0], dtype=np.int64)
-    for n in range(users.shape[0]):
-        interacted = per_user_sets[int(users[n])]
-        j = int(rng.integers(0, n_items))
-        tries = 0
-        while j in interacted and tries < 100:
-            j = int(rng.integers(0, n_items))
-            tries += 1
-        neg[n] = j
-    return neg
+MAX_REDRAWS = 100
+
+
+def _observed(keys, edge_keys):
+    """Which ``user * N + item`` keys are in the sorted ``edge_keys``."""
+    at = np.searchsorted(edge_keys, keys)
+    return edge_keys[np.minimum(at, edge_keys.shape[0] - 1)] == keys
+
+
+def _sample_negatives(users, edge_keys, n_items, rng):
+    """One uniform unobserved negative per positive, by rejection.
+
+    All negatives are drawn at once; observed pairs are redrawn, up to
+    ``MAX_REDRAWS`` rounds, after which the last draw is accepted even if
+    observed (a give-up). Returns the negatives, the number of entries that
+    were redrawn at least once and the number of give-ups.
+    """
+    neg = rng.integers(0, n_items, size=users.shape[0])
+    todo = np.flatnonzero(_observed(users * n_items + neg, edge_keys))
+    redrawn = int(todo.size)
+    for _ in range(MAX_REDRAWS):
+        if not todo.size:
+            break
+        neg[todo] = rng.integers(0, n_items, size=todo.size)
+        todo = todo[_observed(users[todo] * n_items + neg[todo], edge_keys)]
+    return neg, redrawn, int(todo.size)
+
+
+def _check_settings(d, k_layers, epochs, lr, neg_samples, reg):
+    """Reject CF settings that cannot train or cannot be saved."""
+    for name, value, low in (("d", d, 1), ("k_layers", k_layers, 0), ("epochs", epochs, 0),
+                             ("neg_samples", neg_samples, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ConfigError(f"cf.{name} must be an integer >= {low}, got {value!r}")
+    for name, value in (("lr", lr), ("reg", reg)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value) or value < 0):
+            raise ConfigError(f"cf.{name} must be a finite number >= 0, got {value!r}")
 
 
 def pretrain(graph, d, k_layers, epochs, lr, neg_samples, rng, reg=1e-4):
@@ -86,8 +126,10 @@ def pretrain(graph, d, k_layers, epochs, lr, neg_samples, rng, reg=1e-4):
 
     With zero edges training is skipped and the untrained layer-0
     initialization is exported directly (there is nothing to propagate).
-    Same rng seed, same result, bit for bit.
+    Same rng seed, same result, bit for bit. Logs one line per epoch; raises
+    ``NonFiniteError`` as soon as an epoch leaves a non-finite layer-0 value.
     """
+    _check_settings(d, k_layers, epochs, lr, neg_samples, reg)
     m, n = graph.n_users, graph.n_items
     user0 = xavier_uniform(m, d, rng)
     item0 = xavier_uniform(n, d, rng)
@@ -99,17 +141,26 @@ def pretrain(graph, d, k_layers, epochs, lr, neg_samples, rng, reg=1e-4):
             k_layers=k_layers,
         )
 
-    per_user = [set() for _ in range(m)]
-    for u, i in zip(graph.user_idx, graph.item_idx):
-        per_user[int(u)].add(int(i))
-
-    for _ in range(epochs):
+    edge_keys = np.sort(graph.user_idx * n + graph.item_idx)
+    for epoch in range(1, epochs + 1):
+        t0 = time.perf_counter()
         order = rng.permutation(graph.n_edges)
         us = graph.user_idx[order]
         pos = graph.item_idx[order]
+        redrawn = give_ups = 0
         for _ in range(neg_samples):
-            neg = _sample_negatives(us, per_user, n, rng)
+            neg, r, g = _sample_negatives(us, edge_keys, n, rng)
+            redrawn += r
+            give_ups += g
             kernels.bpr_epoch(user0, item0, us, pos, neg, float(lr), float(reg))
+        if not (np.isfinite(user0).all() and np.isfinite(item0).all()):
+            raise NonFiniteError(f"cf pretraining diverged in epoch {epoch}: non-finite "
+                                 f"embeddings (lr={lr}, reg={reg})")
+        log.info("cf epoch %d/%d: %.3f s, %d negatives redrawn, %d give-ups",
+                 epoch, epochs, time.perf_counter() - t0, redrawn, give_ups)
+        if give_ups:
+            log.warning("cf epoch %d: %d negatives are observed pairs after %d redraws "
+                        "(users adjacent to nearly every item)", epoch, give_ups, MAX_REDRAWS)
 
     layers = propagate(user0, item0, graph, k_layers)
     users, items = aggregate_layers(layers)

@@ -7,7 +7,6 @@ keeps only test bundles whose seeds and targets consist entirely of items
 seen in at least one training bundle.
 """
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -85,20 +84,6 @@ class EvalReport:
     @property
     def empty(self):
         return self.n_bundles == 0
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "setting": self.setting,
-                "k": self.k,
-                "recall": self.recall,
-                "ndcg": self.ndcg,
-                "n_bundles": self.n_bundles,
-                "per_bundle": self.per_bundle,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def evaluate(scorer, views, k, setting="standard", rate=0.0, rng=None, n_items=None,

@@ -2,8 +2,9 @@
 
 Dense matrix products are left to BLAS on purpose; only genuinely
 loop-shaped work lives here (row softmax passes, edge scatter propagation,
-the per-sample pairwise-ranking update sweep). Given the same inputs each
-kernel always produces the same bits.
+the pairwise-ranking SGD sweep, applied as batched runs of updates that
+touch no row twice). Given the same inputs each kernel always produces the
+same bits.
 
 The kernels are module attributes that callers look up at call time
 (``kernels.softmax_rows(...)``), so a tracer can rebind them by name.
@@ -48,34 +49,90 @@ def propagate_step(u_idx, i_idx, coeff, user_prev, item_prev):
     accumulates ``coeff * item_prev[i]`` into the next user table and
     ``coeff * user_prev[u]`` into the next item table. Zero-degree rows stay
     zero (empty neighbor sum).
+
+    Each side is one ``np.bincount`` over flattened ``row * d + col`` cells.
+    It sums in edge order in float64, so float64 tables are bit-identical to
+    an edge-by-edge ``np.add.at``; float32 tables are the float64 sums
+    rounded once. The result keeps the input dtype.
     """
-    user_next = np.zeros_like(user_prev)
-    item_next = np.zeros_like(item_prev)
-    if u_idx.shape[0]:
-        w = coeff[:, None]
-        np.add.at(user_next, u_idx, w * item_prev[i_idx])
-        np.add.at(item_next, i_idx, w * user_prev[u_idx])
-    return user_next, item_next
+    return (_edge_sum(u_idx, i_idx, coeff, item_prev, user_prev),
+            _edge_sum(i_idx, u_idx, coeff, user_prev, item_prev))
+
+
+def _edge_sum(dst, src, coeff, table, like):
+    """``out[dst[e]] += coeff[e] * table[src[e]]`` for every edge e, into
+    zeros shaped and typed like ``like``."""
+    values = table[src]
+    values *= coeff[:, None]
+    d = like.shape[1]
+    cells = (dst[:, None] * d + np.arange(d)).ravel()
+    out = np.bincount(cells, weights=values.ravel(), minlength=like.size)
+    return out.reshape(like.shape).astype(like.dtype, copy=False)
+
+
+def _previous_touch(keys, rows):
+    """For each event ``(keys[e], rows[e])``, the latest earlier row with the
+    same key, or -1. Events of one row never count against each other."""
+    prev = np.full(keys.shape[0], -1, dtype=np.int64)
+    # rows < len(keys), so sorting key * len(keys) + row orders by key, then row
+    order = np.argsort(keys * keys.shape[0] + rows)
+    k, r = keys[order], rows[order]
+    linked = (k[1:] == k[:-1]) & (r[1:] != r[:-1])
+    prev[order[1:][linked]] = r[:-1][linked]
+    return prev
+
+
+def _conflict_free_runs(us, pos, neg):
+    """Boundaries ``[0, b1, ..., n]`` of the maximal consecutive runs of
+    updates in which no user row and no item row repeats.
+
+    ``pos`` and ``neg`` share one item namespace. A run ends just before the
+    first update that touches a row an earlier update of the run touched.
+    """
+    n = us.shape[0]
+    rows = np.arange(n)
+    items = _previous_touch(np.concatenate([pos, neg]), np.concatenate([rows, rows]))
+    last = np.maximum(_previous_touch(us, rows), np.maximum(items[:n], items[n:]))
+    bounds = [0]
+    start = 0
+    while start < n:
+        width = 64
+        while True:
+            hit = np.flatnonzero(last[start + 1 : start + 1 + width] >= start)
+            if hit.size:
+                start += 1 + int(hit[0])
+                break
+            if start + 1 + width >= n:
+                start = n
+                break
+            width *= 2
+        bounds.append(start)
+    return bounds
 
 
 def bpr_epoch(user, item, us, pos, neg, lr, reg):
-    """One sequential sweep of pairwise-ranking SGD updates, in place.
+    """One sweep of pairwise-ranking SGD updates, in place.
 
     ``us[n]`` interacted with ``pos[n]`` but not with ``neg[n]``; the update
     pushes score(u, pos) above score(u, neg) through a sigmoid link with L2
     weight decay ``reg``.
+
+    The stream is cut into maximal consecutive runs that touch no user row
+    and no item row twice, and each run is applied as one gathered update
+    from the rows as they stood before the run. Rows within a run are
+    disjoint, so this is the sequential sweep, not a racing one: only the
+    rounding of the dot products differs. Within an update the item writes
+    go ``pos`` then ``neg``, so an update with ``pos == neg`` keeps the
+    ``neg`` write.
     """
-    for n in range(us.shape[0]):
-        u, i, j = us[n], pos[n], neg[n]
-        pu = user[u].copy()
-        pi = item[i].copy()
-        pj = item[j].copy()
-        x = float(np.dot(pu, pi - pj))
-        if x >= 0.0:
-            e = np.exp(-x)
-            s = e / (1.0 + e)
-        else:
-            s = 1.0 / (1.0 + np.exp(x))
-        user[u] = pu + lr * (s * (pi - pj) - reg * pu)
+    bounds = _conflict_free_runs(us, pos, neg)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        u, i, j = us[a:b], pos[a:b], neg[a:b]
+        pu, pi, pj = user[u], item[i], item[j]
+        diff = pi - pj
+        x = np.einsum("ij,ij->i", pu, diff)
+        e = np.exp(-np.abs(x))
+        s = np.where(x >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))[:, None]
+        user[u] = pu + lr * (s * diff - reg * pu)
         item[i] = pi + lr * (s * pu - reg * pi)
         item[j] = pj + lr * (-s * pu - reg * pj)

@@ -3,7 +3,7 @@ import pytest
 
 from bundlecraft import cf_pretrain as cf
 from bundlecraft.corpus import InteractionGraph
-from bundlecraft.errors import CorpusFormatError
+from bundlecraft.errors import ConfigError, CorpusFormatError
 
 
 def graph_of(edges, m, n):
@@ -111,6 +111,16 @@ class TestAggregate:
         np.testing.assert_allclose(users, sum(u for u, _ in layers) / 3, atol=1e-12)
         np.testing.assert_allclose(items, sum(i for _, i in layers) / 3, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3, 5])
+    def test_bit_identical_to_stacked_mean(self, rng, dtype, n_layers):
+        layers = [(rng.normal(size=(7, 5)).astype(dtype), rng.normal(size=(9, 5)).astype(dtype))
+                  for _ in range(n_layers)]
+        users, items = cf.aggregate_layers(layers)
+        np.testing.assert_array_equal(users, np.mean([u for u, _ in layers], axis=0))
+        np.testing.assert_array_equal(items, np.mean([i for _, i in layers], axis=0))
+        assert users.dtype == dtype
+
 
 class TestPretrain:
     def test_zero_lr_returns_aggregated_init(self):
@@ -150,6 +160,39 @@ class TestPretrain:
         np.testing.assert_array_equal(
             emb.user_table, cf.xavier_uniform(3, 4, rng2).astype(np.float32)
         )
+
+    def test_full_user_gives_up_and_others_never_do(self, caplog):
+        # user 0 is adjacent to every item, so no negative exists for it
+        n = 6
+        edges = [(0, i) for i in range(n)] + [(1, 0), (1, 3), (2, 5)]
+        g = graph_of(edges, 3, n)
+        edge_keys = np.sort(g.user_idx * n + g.item_idx)
+        observed = set(edges)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            us = g.user_idx[rng.permutation(g.n_edges)]
+            neg, redrawn, give_ups = cf._sample_negatives(us, edge_keys, n, rng)
+            assert give_ups == n
+            assert give_ups <= redrawn <= len(us)
+            assert all((int(u), int(j)) not in observed for u, j in zip(us, neg) if u != 0)
+        with caplog.at_level("INFO", logger="bundlecraft.cf_pretrain"):
+            cf.pretrain(g, d=4, k_layers=1, epochs=3, lr=0.05, neg_samples=2,
+                        rng=np.random.default_rng(2))
+        epoch_lines = [r.getMessage() for r in caplog.records
+                       if r.levelname == "INFO" and r.getMessage().startswith("cf epoch")]
+        assert len(epoch_lines) == 3
+        assert all(line.endswith(f" {n * 2} give-ups") for line in epoch_lines)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 3 and all(f" {n * 2} negatives" in w for w in warnings)
+
+    # out-of-range values reach pretrain through the CLI too (tests/test_cli.py);
+    # these types only through the Python API
+    @pytest.mark.parametrize("setting", [dict(d=2.0), dict(k_layers=True), dict(lr="0.1")])
+    def test_bad_setting_types_rejected(self, setting):
+        g = graph_of([(0, 0)], 1, 2)
+        kwargs = dict(d=4, k_layers=1, epochs=1, lr=0.05, neg_samples=1, reg=1e-4)
+        with pytest.raises(ConfigError):
+            cf.pretrain(g, rng=np.random.default_rng(0), **{**kwargs, **setting})
 
 
 class TestCheckpoint:

@@ -112,6 +112,39 @@ class TestPretrainCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert sha(a) == sha(b)
 
+    @pytest.mark.parametrize("flags", [
+        ["--k", "-1"], ["--set", "cf.k_layers=-1"], ["--set", "cf.d=0"], ["--epochs", "-1"],
+        ["--set", "cf.neg_samples=-1"], ["--lr", "-0.1"], ["--set", "cf.lr=NaN"],
+        ["--set", "cf.reg=Infinity"], ["--set", "cf.reg=-1e-4"],
+    ], ids=lambda flags: flags[-1])
+    def test_bad_cf_settings_exit_2(self, pipeline, tmp_path, flags):
+        _, _, data, _, _ = pipeline
+        out = tmp_path / "cf.ckpt"
+        proc = cli_subprocess("pretrain", "--data", str(data), "--out", str(out), *flags)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "cf." in proc.stderr
+        assert not out.exists()
+
+    def test_diverged_pretrain_exits_3(self, pipeline, tmp_path, capsys):
+        _, _, data, _, _ = pipeline
+        out = tmp_path / "cf.ckpt"
+        code = main(["pretrain", "--data", str(data), "--out", str(out), "--set", "cf.lr=1e300",
+                     "--set", "cf.d=8", "--epochs", "3"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "diverged" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_logs_one_line_per_epoch(self, pipeline, tmp_path, capsys):
+        _, _, data, _, _ = pipeline
+        capsys.readouterr()
+        args = ["pretrain", "--data", str(data), "--out", str(tmp_path / "cf.ckpt")]
+        assert main(args + FAST_TRAIN) == 0
+        lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("cf epoch")]
+        assert [l.split(":")[0] for l in lines] == [f"cf epoch {e}/4" for e in range(1, 5)]
+        assert all("negatives redrawn" in l and l.endswith(" 0 give-ups") for l in lines)
+
 
 class TestTrainCommand:
     def test_zero_epochs_writes_initial_checkpoint(self, pipeline, tmp_path):

@@ -1,6 +1,116 @@
 import numpy as np
+import pytest
 
 from bundlecraft import kernels
+
+
+def bpr_epoch_oracle(user, item, us, pos, neg, lr, reg):
+    """The per-update loop that ``kernels.bpr_epoch`` batches into runs."""
+    for n in range(us.shape[0]):
+        u, i, j = us[n], pos[n], neg[n]
+        pu = user[u].copy()
+        pi = item[i].copy()
+        pj = item[j].copy()
+        x = float(np.dot(pu, pi - pj))
+        if x >= 0.0:
+            e = np.exp(-x)
+            s = e / (1.0 + e)
+        else:
+            s = 1.0 / (1.0 + np.exp(x))
+        user[u] = pu + lr * (s * (pi - pj) - reg * pu)
+        item[i] = pi + lr * (s * pu - reg * pi)
+        item[j] = pj + lr * (-s * pu - reg * pj)
+
+
+def propagate_step_oracle(u_idx, i_idx, coeff, user_prev, item_prev):
+    """Edge-by-edge ``np.add.at`` propagation."""
+    user_next = np.zeros_like(user_prev)
+    item_next = np.zeros_like(item_prev)
+    w = coeff[:, None]
+    np.add.at(user_next, u_idx, w * item_prev[i_idx])
+    np.add.at(item_next, i_idx, w * user_prev[u_idx])
+    return user_next, item_next
+
+
+def bpr_stream(seed, length):
+    """A stream over few users and items, so rows repeat within a few updates,
+    with every fifth update a ``pos == neg`` give-up."""
+    rng = np.random.default_rng(seed)
+    m, n, d = int(rng.integers(1, 8)), int(rng.integers(1, 12)), int(rng.integers(1, 9))
+    us = rng.integers(0, m, length)
+    pos = rng.integers(0, n, length)
+    neg = rng.integers(0, n, length)
+    neg[::5] = pos[::5]
+    return rng.normal(size=(m, d)), rng.normal(size=(n, d)), us, pos, neg
+
+
+def bpr_pair(stream, lr=0.3, reg=0.01):
+    user, item, us, pos, neg = stream
+    want = (user.copy(), item.copy())
+    got = (user.copy(), item.copy())
+    bpr_epoch_oracle(*want, us, pos, neg, lr, reg)
+    kernels.bpr_epoch(*got, us, pos, neg, lr, reg)
+    return want, got
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 37, 400])
+@pytest.mark.parametrize("seed", range(6))
+def test_bpr_epoch_matches_loop(seed, length):
+    want, got = bpr_pair(bpr_stream(seed, length))
+    for w, g in zip(want, got):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
+def test_conflict_free_runs_are_maximal_and_disjoint():
+    _, _, us, pos, neg = bpr_stream(3, 500)
+    bounds = kernels._conflict_free_runs(us, pos, neg)
+    assert bounds[0] == 0 and bounds[-1] == 500
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        users = us[a:b]
+        items = [{int(p), int(q)} for p, q in zip(pos[a:b], neg[a:b])]
+        assert len(set(users.tolist())) == b - a
+        assert sum(len(s) for s in items) == len(set().union(*items))
+        if b < 500:  # the next update conflicts with the run
+            assert us[b] in users or {int(pos[b]), int(neg[b])} & set().union(*items)
+
+
+def test_run_split_ignoring_neg_fails_oracle(monkeypatch):
+    # mutation check: a split blind to the neg column must be caught
+    split = kernels._conflict_free_runs
+    monkeypatch.setattr(kernels, "_conflict_free_runs", lambda us, pos, neg: split(us, pos, pos))
+    mismatched = 0
+    for seed in range(6):
+        want, got = bpr_pair(bpr_stream(seed, 400))
+        mismatched += not all(np.allclose(g, w, rtol=1e-12, atol=1e-12) for w, g in zip(want, got))
+    assert mismatched > 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(8))
+def test_propagate_step_matches_add_at(seed, dtype):
+    rng = np.random.default_rng(seed)
+    m, n, d = int(rng.integers(1, 30)), int(rng.integers(1, 30)), int(rng.integers(1, 9))
+    e = int(rng.integers(0, 400)) if seed else 0
+    u_idx = rng.integers(0, m, e)
+    i_idx = rng.integers(0, n, e)
+    coeff = rng.uniform(0.01, 1.0, e).astype(dtype)
+    user = rng.normal(size=(m, d)).astype(dtype)
+    item = rng.normal(size=(n, d)).astype(dtype)
+    got = kernels.propagate_step(u_idx, i_idx, coeff, user, item)
+    if dtype is np.float64:
+        want = propagate_step_oracle(u_idx, i_idx, coeff, user, item)
+    else:
+        # the same float32 edge products, summed in float64 and rounded once
+        w = coeff[:, None]
+        want = [np.zeros(t.shape) for t in (user, item)]
+        np.add.at(want[0], u_idx, (w * item[i_idx]).astype(np.float64))
+        np.add.at(want[1], i_idx, (w * user[u_idx]).astype(np.float64))
+        want = [t.astype(np.float32) for t in want]
+        for g, o in zip(got, propagate_step_oracle(u_idx, i_idx, coeff, user, item)):
+            np.testing.assert_allclose(g, o, rtol=1e-5, atol=1e-5)
+    for g, w in zip(got, want):
+        assert g.dtype == dtype
+        np.testing.assert_array_equal(g, w)
 
 
 def test_propagate_zero_edges():
@@ -10,3 +120,4 @@ def test_propagate_zero_edges():
     item = np.ones((4, 2))
     un, it = kernels.propagate_step(u, u.copy(), coeff, user, item)
     assert (un == 0).all() and (it == 0).all()
+    assert un.dtype == user.dtype and it.dtype == item.dtype
