@@ -1,9 +1,12 @@
-"""Partial-bundle representation from its members' item vectors.
+"""Partial-bundle representations from their members' item vectors.
 
-Structurally identical to the feature-level encoder: Z self-attention
-layers (distinct weights) over the stacked item rows, then a row mean.
-The result is a set function: permuting the input rows permutes the
-attended rows identically and the mean forgets the order.
+The same set-attention layer as the item encoder, with its own Z layers,
+runs over each bundle's seed rows, and the bundle vector is their mean. A
+batch of bundles is one member-major node (see the numerics set ops):
+seed sets of different sizes are padded to the largest under a mask, so a
+whole batch is encoded by Z + 1 graph nodes. The result is a set function:
+permuting a bundle's rows permutes the attended rows identically and the
+mean forgets the order.
 """
 
 from dataclasses import dataclass
@@ -11,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ShapeError
-from .item_encoder import attention_layer
+from .item_encoder import attend
 
 
 @dataclass
@@ -33,17 +35,26 @@ def init_bundle_params(d, n_layers, rng, dtype=np.float32):
     return BundleEncoderParams(layers=layers)
 
 
-def encode_bundle_rows(item_rows, params, use_attention=True):
-    """Attended n x d rows of the bundle's items (pre-mean, for explanation)."""
-    if item_rows.shape[0] < 1:
-        raise ShapeError("cannot encode an empty bundle")
-    rows = item_rows
+def gather_members(table, seed_sets):
+    """Gather the seed rows of G bundles from an item ``table`` node.
+
+    Returns the member-major (S*G) x d rows, S being the largest seed set,
+    and the S x G mask of real members; padded slots repeat item 0.
+    """
+    seeds = [sorted(s) for s in seed_sets]
+    size = max(len(s) for s in seeds)
+    idx = np.zeros((size, len(seeds)), dtype=np.int64)
+    mask = np.zeros((size, len(seeds)), dtype=bool)
+    for g, items in enumerate(seeds):
+        idx[: len(items), g] = items
+        mask[: len(items), g] = True
+    return nm.take_rows(table, idx.reshape(-1)), mask
+
+
+def encode_bundle(member_rows, params, use_attention=True, mask=None):
+    """Bundle representations, one row per set: the mean of the attended
+    member rows. Without a mask ``member_rows`` is a single bundle."""
+    groups = 1 if mask is None else mask.shape[1]
     if use_attention:
-        for w_k, w_q in params.layers:
-            rows = attention_layer(rows, w_k, w_q)
-    return rows
-
-
-def encode_bundle(item_rows, params, use_attention=True):
-    """Bundle representation: mean of the attended item rows (1 x d)."""
-    return nm.mean_rows(encode_bundle_rows(item_rows, params, use_attention))
+        member_rows = attend(member_rows, params.layers, groups, mask)
+    return nm.group_mean(member_rows, groups, mask)

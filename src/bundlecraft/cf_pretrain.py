@@ -191,6 +191,8 @@ def load_cf(path):
     version, m, n, d, k = struct.unpack_from("<IIIII", blob, 4)
     if version != CF_VERSION:
         raise CorpusFormatError(f"{path}: unsupported version {version}")
+    if d < 1:
+        raise CorpusFormatError(f"{path}: embedding width d={d}, must be >= 1")
     need = 24 + (m + n) * d * 4
     if len(blob) != need:
         raise CorpusFormatError(f"{path}: expected {need} bytes, found {len(blob)}")

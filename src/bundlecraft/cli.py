@@ -176,6 +176,10 @@ def cmd_train(args):
         raise IntegrityError(
             f"cf checkpoint has {cf.item_table.shape[0]} items, corpus has {catalog.n_items}"
         )
+    if cf.user_table.shape[0] != graph.n_users:
+        raise IntegrityError(
+            f"cf checkpoint has {cf.user_table.shape[0]} users, corpus has {graph.n_users}"
+        )
     log_path = args.log or args.out + ".log.jsonl"
     result = fit(catalog, features, graph, cf, tc, log_path=log_path)
     save_checkpoint(args.out, result.model, epoch=result.best_epoch, metrics=result.best_metrics)

@@ -79,10 +79,11 @@ def _merge(base, override, path=""):
             out[key] = _merge(base[key], value, where)
         else:
             expected = type(base[key])
-            if expected is float and isinstance(value, int) and not isinstance(value, bool):
+            if (expected is bool) != isinstance(value, bool):
+                raise ConfigError(
+                    f"{where!r} must be {expected.__name__}, got {type(value).__name__}")
+            if expected is float and isinstance(value, int):
                 value = float(value)
-            if expected is bool and not isinstance(value, bool):
-                raise ConfigError(f"{where!r} must be a boolean")
             if not isinstance(value, expected):
                 raise ConfigError(
                     f"{where!r} must be {expected.__name__}, got {type(value).__name__}"

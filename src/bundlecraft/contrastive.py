@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .corpus import PartialBundleView
+from .corpus import perturb_seeds
 from .errors import IntegrityError, ShapeError
 from .item_encoder import N_SLOTS, ItemInputs
 
@@ -93,44 +93,22 @@ def augment_inputs(inputs, mode, config, rng):
 
 def augment_bundle(view, mode, config, rng, n_items):
     """Perturb a view's seed set; targets and bundle index are untouched."""
-    seeds = sorted(view.seeds)
-    k = int(config.dropout_ratio * len(seeds))
+    k = int(config.dropout_ratio * len(view.seeds))
     if mode == "ID":
-        k = min(k, len(seeds) - 1)
-        if k <= 0:
-            return view
-        drop = set(int(x) for x in rng.choice(len(seeds), size=k, replace=False))
-        kept = frozenset(s for pos, s in enumerate(seeds) if pos not in drop)
-        return PartialBundleView(view.bundle_index, kept, view.targets)
+        return perturb_seeds(view, rng, n_items, drop=min(k, len(view.seeds) - 1))
     if mode == "IR":
-        if k <= 0:
-            return view
-        member = view.seeds | view.targets
-        candidates = np.asarray([i for i in range(n_items) if i not in member], dtype=np.int64)
-        if candidates.shape[0] < k:
-            raise IntegrityError("not enough non-member items for replacement")
-        drop = set(int(x) for x in rng.choice(len(seeds), size=k, replace=False))
-        added = rng.choice(candidates, size=k, replace=False)
-        new_seeds = frozenset(s for pos, s in enumerate(seeds) if pos not in drop) | frozenset(
-            int(x) for x in added
-        )
-        return PartialBundleView(view.bundle_index, new_seeds, view.targets)
+        return perturb_seeds(view, rng, n_items, drop=k, add=k)
     raise IntegrityError(f"unknown bundle augmentation mode {mode!r}")
 
 
 def info_nce(anchors, positives, tau):
     """Mean over anchors of -log softmax(cos(a_i, p_v)/tau) at v = i.
 
-    ``anchors`` and ``positives`` are matrix nodes with one vector per row
-    (or equal-length lists of row nodes). Every anchor is contrasted
-    against all positives in the pool, its own positive included in the
-    denominator, so the loss is nonnegative and equals ln N when all
-    similarities coincide.
+    ``anchors`` and ``positives`` are matrix nodes with one vector per row.
+    Every anchor is contrasted against all positives in the pool, its own
+    positive included in the denominator, so the loss is nonnegative and
+    equals ln N when all similarities coincide.
     """
-    if isinstance(anchors, (list, tuple)):
-        anchors = nm.vconcat(list(anchors))
-    if isinstance(positives, (list, tuple)):
-        positives = nm.vconcat(list(positives))
     if anchors.shape != positives.shape:
         raise ShapeError(f"info_nce: shapes {anchors.shape} vs {positives.shape}")
     if anchors.shape[0] < 1:

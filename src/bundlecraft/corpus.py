@@ -362,6 +362,31 @@ def sample_partial(bundle, seed_ratio, rng, bundle_index=-1):
     return PartialBundleView(bundle_index=bundle_index, seeds=seeds, targets=targets)
 
 
+def perturb_seeds(view, rng, n_items, drop=0, add=0):
+    """Drop ``drop`` seeds, then add ``add`` items from outside the bundle.
+
+    The dropped seeds are uniform positions of the sorted seed list; the
+    added items are uniform, without replacement, among the catalog items
+    that are neither seeds nor targets. Targets are untouched, and a view
+    with nothing to drop or add comes back as it is.
+    """
+    if drop <= 0 and add <= 0:
+        return view
+    seeds = sorted(view.seeds)
+    if add > 0:
+        member = np.fromiter(view.seeds | view.targets, dtype=np.int64)
+        candidates = np.setdiff1d(np.arange(n_items, dtype=np.int64), member)
+        if candidates.shape[0] < add:
+            raise IntegrityError(f"only {candidates.shape[0]} non-member items to add {add}")
+    kept = view.seeds
+    if drop > 0:
+        gone = set(int(x) for x in rng.choice(len(seeds), size=drop, replace=False))
+        kept = frozenset(s for pos, s in enumerate(seeds) if pos not in gone)
+    if add > 0:
+        kept = kept | frozenset(int(x) for x in rng.choice(candidates, size=add, replace=False))
+    return PartialBundleView(view.bundle_index, kept, view.targets)
+
+
 def corrupt_partial(view, mode, rate, rng, n_items):
     """Corrupt a view's seed set for robustness protocols; targets unchanged.
 
@@ -371,25 +396,11 @@ def corrupt_partial(view, mode, rate, rng, n_items):
     """
     if not 0.0 <= rate <= 0.9:
         raise IntegrityError(f"corruption rate must lie in [0, 0.9], got {rate}")
-    seeds = sorted(view.seeds)
-    k = int(rate * len(seeds))
+    k = int(rate * len(view.seeds))
     if mode == "sparsify":
-        k = min(k, len(seeds) - 1)
-        if k <= 0:
-            return view
-        drop = rng.choice(len(seeds), size=k, replace=False)
-        kept = frozenset(s for pos, s in enumerate(seeds) if pos not in set(int(x) for x in drop))
-        return PartialBundleView(bundle_index=view.bundle_index, seeds=kept, targets=view.targets)
+        return perturb_seeds(view, rng, n_items, drop=min(k, len(view.seeds) - 1))
     if mode == "noisify":
-        if k <= 0:
-            return view
-        member = view.seeds | view.targets
-        candidates = np.asarray([i for i in range(n_items) if i not in member], dtype=np.int64)
-        if candidates.shape[0] < k:
-            raise IntegrityError("not enough non-member items to add noise")
-        picked = rng.choice(candidates, size=k, replace=False)
-        noisy = view.seeds | frozenset(int(x) for x in picked)
-        return PartialBundleView(bundle_index=view.bundle_index, seeds=noisy, targets=view.targets)
+        return perturb_seeds(view, rng, n_items, add=k)
     raise IntegrityError(f"unknown corruption mode {mode!r}")
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .bundle_encoder import encode_bundle, encode_bundle_rows
+from .bundle_encoder import encode_bundle
 from .corpus import corrupt_partial
 from .errors import IntegrityError
-from .item_encoder import attention_over_slots, mean_of, slot_nodes
+from .item_encoder import attend, encode_item_table, item_slots
 
 SETTINGS = ("standard", "warm", "sparsify", "noisify")
 
@@ -143,8 +143,6 @@ def evaluate(scorer, views, k, setting="standard", rate=0.0, rng=None, n_items=N
 
 def item_table_values(model, inputs):
     """Encode the whole catalog once, forward only; returns an N x d array."""
-    from .item_encoder import encode_item_table
-
     cfg = model.config
     node = encode_item_table(
         inputs,
@@ -190,18 +188,18 @@ def explain(model, inputs, bundle_items, bundle_index=-1):
     cfg = model.config
     dtype = nm.DTYPES[cfg.precision]
     items = sorted(bundle_items)
+    n = inputs.n_items
 
-    slots = slot_nodes(
+    slots = item_slots(
         inputs,
         model.item_params,
         slot_fill=cfg.slot_fill,
         use_feedback=cfg.ablation.use_feedback,
+        use_attention=cfg.ablation.use_item_attention,
         dtype=dtype,
     )
-    if cfg.ablation.use_item_attention:
-        slots = attention_over_slots(slots, model.item_params.layers, model.item_params.d)
-    table = mean_of(slots).value
-    slot_values = [s.value for s in slots]
+    table = nm.group_mean(slots, n).value
+    slot_values = slots.value.reshape(-1, n, table.shape[1])
 
     feature_rows = []
     for i in items:
@@ -210,10 +208,9 @@ def explain(model, inputs, bundle_items, bundle_index=-1):
                 {"item": i, "slot": s, "cosine": _np_cosine(sv[i], table[i])}
             )
 
-    rows_node = nm.constant(table[np.asarray(items, dtype=np.int64)], dtype)
-    attended = encode_bundle_rows(
-        rows_node, model.bundle_params, use_attention=cfg.ablation.use_bundle_attention
-    )
+    attended = nm.constant(table[np.asarray(items, dtype=np.int64)], dtype)
+    if cfg.ablation.use_bundle_attention:
+        attended = attend(attended, model.bundle_params.layers, 1)
     e = attended.value.mean(axis=0)
     bundle_rows = [
         {"item": i, "cosine": _np_cosine(attended.value[j], e)} for j, i in enumerate(items)

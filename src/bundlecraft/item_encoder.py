@@ -1,17 +1,16 @@
 """Fused item representations from content, feedback and id features.
 
-Each item contributes three feature rows: projected content, projected
-collaborative-filtering feedback, and a learnable id embedding. Missing
-feedback or id history is slot-filled from the content feature (projected
-by default; a ``raw`` mode copies the raw content vector into the feedback
-slot before projection, which requires matching widths). The rows pass
-through L self-attention layers, key/query projections only, and are
-averaged into the item vector.
+Each item contributes three feature rows, its slots: projected content,
+projected collaborative-filtering feedback, and a learnable id embedding.
+Missing feedback or id history is slot-filled from the content feature
+(projected by default; a ``raw`` mode projects the raw content vector
+through the feedback projection, which requires matching widths).
 
-Two equivalent paths exist: a per-item path operating on one 3 x d matrix
-(the reference semantics, used for explanation and tests) and a batched
-path that carries one N x d matrix per slot so the whole catalog is encoded
-with a handful of dense products (used by the trainer and evaluator).
+The whole catalog is encoded at once. The slots of all N items are stacked
+member-major into one 3N x d node, the sets of the numerics set ops: one
+set per item, one member per slot. L set-attention layers (key/query
+projections only) run over it, and each item's vector is the mean of its
+attended slots. The bundle encoder applies the same layer to seed sets.
 """
 
 from dataclasses import dataclass
@@ -23,18 +22,6 @@ from .errors import ConfigError, ShapeError
 
 SLOT_CONTENT, SLOT_FEEDBACK, SLOT_ID = 0, 1, 2
 N_SLOTS = 3
-
-
-@dataclass(frozen=True)
-class ItemFeatureBundle:
-    """Raw features of one item; ``feedback`` is None when the item has no
-    user-feedback history, ``id_cold`` marks items absent from training
-    bundles."""
-
-    content: np.ndarray
-    feedback: np.ndarray | None
-    id_index: int
-    id_cold: bool = False
 
 
 @dataclass
@@ -67,85 +54,6 @@ def init_item_params(n_items, feat_dim, cf_dim, d, n_layers, rng, dtype=np.float
     )
 
 
-def content_feature(t, m):
-    """Average the present modalities; at least one must exist."""
-    if t is None and m is None:
-        raise ShapeError("item has neither text nor media feature")
-    if t is None:
-        return np.asarray(m)
-    if m is None:
-        return np.asarray(t)
-    t = np.asarray(t)
-    m = np.asarray(m)
-    if t.shape != m.shape:
-        raise ShapeError(f"modal feature shapes differ: {t.shape} vs {m.shape}")
-    return (t + m) / 2
-
-
-def attention_layer(h, w_k, w_q):
-    """One self-attention layer: softmax((H Wk)(H Wq)^T / sqrt(d)) H.
-
-    There is no value projection and no residual path; the softmax weights
-    recombine the raw input rows directly.
-    """
-    d = w_k.shape[0]
-    keys = nm.matmul(h, w_k)
-    queries = nm.matmul(h, w_q)
-    logits = nm.sdiv(nm.matmul(keys, nm.transpose(queries)), nm.attention_scale(d))
-    return nm.matmul(nm.softmax_rows(logits), h)
-
-
-def mean_of(nodes):
-    """Mean of same-shape nodes: sequential sum, then one true division."""
-    acc = nodes[0]
-    for node in nodes[1:]:
-        acc = nm.add(acc, node)
-    return nm.sdiv(acc, len(nodes))
-
-
-# ---------------------------------------------------------------------------
-# per-item reference path
-# ---------------------------------------------------------------------------
-
-def build_feature_matrix(item, params, slot_fill="projected", dtype=np.float32):
-    """Assemble one item's 3 x d feature matrix with slot filling."""
-    c = nm.constant(item.content, dtype)
-    row_c = nm.matmul(c, params.w_c)
-    if item.feedback is not None:
-        row_p = nm.matmul(nm.constant(item.feedback, dtype), params.w_p)
-    elif slot_fill == "raw":
-        if params.w_p.shape[0] != c.shape[1]:
-            raise ConfigError(
-                f"slot_fill=raw needs cf_dim == feature dim, have {params.w_p.shape[0]} vs {c.shape[1]}"
-            )
-        row_p = nm.matmul(c, params.w_p)
-    else:
-        row_p = row_c
-    if item.id_cold:
-        row_v = row_c
-    else:
-        row_v = nm.take_rows(params.v, [item.id_index])
-    return nm.vconcat([row_c, row_p, row_v])
-
-
-def encode_item_rows(item, params, slot_fill="projected", dtype=np.float32, use_attention=True):
-    """L attention layers over the feature matrix; returns the 3 x d rows."""
-    rows = build_feature_matrix(item, params, slot_fill, dtype)
-    if use_attention:
-        for w_k, w_q in params.layers:
-            rows = attention_layer(rows, w_k, w_q)
-    return rows
-
-
-def encode_item(item, params, slot_fill="projected", dtype=np.float32, use_attention=True):
-    """Fused item representation: mean of the attended feature rows (1 x d)."""
-    return nm.mean_rows(encode_item_rows(item, params, slot_fill, dtype, use_attention))
-
-
-# ---------------------------------------------------------------------------
-# batched slot path
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class ItemInputs:
     """Catalog-wide raw inputs for the batched encoder.
@@ -170,6 +78,8 @@ class ItemInputs:
 def build_item_inputs(catalog, features, cf, graph, warm, dtype=np.float32):
     """Derive catalog-wide encoder inputs from loaded corpus structures."""
     n = catalog.n_items
+    if not (features.text_present | features.media_present).all():
+        raise ShapeError("an item has neither text nor media feature")
     both = features.text_present & features.media_present
     content = np.where(
         both[:, None],
@@ -189,72 +99,50 @@ def build_item_inputs(catalog, features, cf, graph, warm, dtype=np.float32):
     )
 
 
-def _masked_mix(mask_bool, on_node, off_node, dtype):
-    """Row-wise select: mask ? on : off, written as two masked products so
-    gradients flow only through the selected branch."""
-    m = nm.constant(mask_bool.astype(dtype).reshape(-1, 1), dtype)
-    inv = nm.constant((~mask_bool).astype(dtype).reshape(-1, 1), dtype)
-    return nm.add(nm.bmul_col(m, on_node), nm.bmul_col(inv, off_node))
+def attend(h, layers, groups, mask=None):
+    """The L set-attention layers of one encoder level, in order."""
+    for w_k, w_q in layers:
+        h = nm.set_attention(h, w_k, w_q, groups, mask)
+    return h
 
 
-def slot_nodes(inputs, params, slot_fill="projected", use_feedback=True, dtype=np.float32):
-    """Initial per-slot N x d nodes, slot-filled and fallback-forced."""
+def item_slots(inputs, params, slot_fill="projected", use_feedback=True, use_attention=True,
+               dtype=np.float32):
+    """The attended slot rows of every item as one (S*N) x d node.
+
+    Slot s of item i is row s * N + i; S is 3, or 2 when feedback is off.
+    Modality dropout (``forced_fallback``) replaces a slot by the projected
+    content.
+    """
+    n = inputs.n_items
+    forced = inputs.forced_fallback
+
+    def own(present, slot):
+        """Rows whose ``slot`` keeps its own value rather than the projected content."""
+        return present if forced is None else present & ~forced[:, slot]
+
     content = nm.constant(inputs.content, dtype)
     projected_content = nm.matmul(content, params.w_c)
-
     slots = [projected_content]
     if use_feedback:
-        projected_feedback = nm.matmul(nm.constant(inputs.feedback, dtype), params.w_p)
+        feedback = nm.matmul(nm.constant(inputs.feedback, dtype), params.w_p)
+        present = inputs.feedback_present
         if slot_fill == "raw":
             if params.w_p.shape[0] != inputs.content.shape[1]:
                 raise ConfigError(
                     "slot_fill=raw needs cf_dim == feature dim, "
                     f"have {params.w_p.shape[0]} vs {inputs.content.shape[1]}"
                 )
-            fill = nm.matmul(content, params.w_p)
-        else:
-            fill = projected_content
-        slots.append(_masked_mix(inputs.feedback_present, projected_feedback, fill, dtype))
-    slots.append(_masked_mix(inputs.id_warm, params.v, projected_content, dtype))
-
-    if inputs.forced_fallback is not None:
-        forced = inputs.forced_fallback
-        active = [SLOT_CONTENT, SLOT_FEEDBACK, SLOT_ID] if use_feedback else [SLOT_CONTENT, SLOT_ID]
-        slots = [
-            _masked_mix(~forced[:, slot_id], node, projected_content, dtype)
-            for node, slot_id in zip(slots, active)
-        ]
-    return slots
-
-
-def attention_over_slots(slots, layers, d):
-    """Batched form of :func:`attention_layer`: one N x d node per slot."""
-    scale = nm.attention_scale(d)
-    for w_k, w_q in layers:
-        keys = [nm.matmul(h, w_k) for h in slots]
-        queries = [nm.matmul(h, w_q) for h in slots]
-        nxt = []
-        for ks in keys:
-            cols = [nm.sdiv(nm.rowsum(nm.mul(ks, qt)), scale) for qt in queries]
-            weights = nm.softmax_rows(nm.hconcat(cols))
-            nxt.append(weighted_sum_rows(weights, slots))
-        slots = nxt
-    return slots
-
-
-def weighted_sum_rows(weights, slots):
-    """Row-wise convex combination: sum_t weights[:, t] * slots[t]."""
-    acc = None
-    for t, h in enumerate(slots):
-        term = nm.bmul_col(nm.take_col(weights, t), h)
-        acc = term if acc is None else nm.add(acc, term)
-    return acc
+            feedback = nm.select_rows(present, feedback, nm.matmul(content, params.w_p))
+            present = np.ones(n, dtype=bool)
+        slots.append(nm.select_rows(own(present, SLOT_FEEDBACK), feedback, projected_content))
+    slots.append(nm.select_rows(own(inputs.id_warm, SLOT_ID), params.v, projected_content))
+    h = nm.vconcat(slots)
+    return attend(h, params.layers, n) if use_attention else h
 
 
 def encode_item_table(inputs, params, slot_fill="projected", use_feedback=True,
                       use_attention=True, dtype=np.float32):
     """All item representations as one N x d node."""
-    slots = slot_nodes(inputs, params, slot_fill, use_feedback, dtype)
-    if use_attention:
-        slots = attention_over_slots(slots, params.layers, params.d)
-    return mean_of(slots)
+    h = item_slots(inputs, params, slot_fill, use_feedback, use_attention, dtype)
+    return nm.group_mean(h, inputs.n_items)

@@ -166,18 +166,6 @@ def add(a, b):
     return _make(a.value + b.value, (a, b), rule, "add")
 
 
-def sub(a, b):
-    _binary_preflight(a, b, "sub")
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} vs {b.shape}")
-
-    def rule(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _make(a.value - b.value, (a, b), rule, "sub")
-
-
 def mul(a, b):
     """Elementwise product of same-shape matrices."""
     _binary_preflight(a, b, "mul")
@@ -262,27 +250,6 @@ def log_softmax_rows(a):
     return _make(y, (a,), rule, "log_softmax_rows")
 
 
-def mean_rows(a):
-    """Arithmetic mean over rows, returned as a 1 x cols matrix."""
-    n = a.shape[0]
-    if n == 0:
-        raise ShapeError("mean_rows: zero rows")
-
-    def rule(g):
-        _accum(a, np.broadcast_to(g / n, a.shape))
-
-    return _make(a.value.mean(axis=0, keepdims=True), (a,), rule, "mean_rows")
-
-
-def rowsum(a):
-    """Sum over columns, returned as a rows x 1 matrix."""
-
-    def rule(g):
-        _accum(a, np.broadcast_to(g, a.shape))
-
-    return _make(a.value.sum(axis=1, keepdims=True), (a,), rule, "rowsum")
-
-
 def sum_all(a):
     def rule(g):
         _accum(a, np.broadcast_to(g, a.shape))
@@ -319,25 +286,6 @@ def normalize_rows(a):
 # ---------------------------------------------------------------------------
 # structural ops
 # ---------------------------------------------------------------------------
-
-def hconcat(nodes):
-    nodes = list(nodes)
-    if not nodes:
-        raise ShapeError("hconcat: no inputs")
-    rows = nodes[0].shape[0]
-    for n in nodes:
-        if n.shape[0] != rows:
-            raise ShapeError("hconcat: row counts differ")
-        _binary_preflight(nodes[0], n, "hconcat")
-    offsets = np.cumsum([0] + [n.shape[1] for n in nodes])
-
-    def rule(g):
-        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            _accum(n, g[:, lo:hi])
-
-    value = np.concatenate([n.value for n in nodes], axis=1)
-    return _make(value, tuple(nodes), rule, "hconcat")
-
 
 def vconcat(nodes):
     nodes = list(nodes)
@@ -376,21 +324,6 @@ def take_rows(a, idx):
     return _make(a.value[idx].copy(), (a,), rule, "take_rows")
 
 
-def take_col(a, j):
-    j = int(j)
-    if not 0 <= j < a.shape[1]:
-        raise ShapeError(f"take_col: column {j} out of range for {a.shape[1]} columns")
-
-    def rule(g):
-        if not a.requires_grad:
-            return
-        if a.adjoint is None:
-            a.adjoint = np.zeros_like(a.value)
-        a.adjoint[:, j : j + 1] += g
-
-    return _make(a.value[:, j : j + 1].copy(), (a,), rule, "take_col")
-
-
 def take_diag(a):
     n, m = a.shape
     if n != m:
@@ -406,38 +339,121 @@ def take_diag(a):
     return _make(np.diag(a.value).reshape(-1, 1).copy(), (a,), rule, "take_diag")
 
 
-def bmul_col(w, a):
-    """Scale row r of ``a`` by scalar ``w[r, 0]`` (column broadcast)."""
-    _binary_preflight(w, a, "bmul_col")
-    if w.shape != (a.shape[0], 1):
-        raise ShapeError(f"bmul_col: weight shape {w.shape} vs rows {a.shape[0]}")
+def select_rows(mask, on, off):
+    """Row-wise select: row r of ``on`` where ``mask[r]``, else row r of
+    ``off``; each row's gradient flows only to the branch it came from."""
+    _binary_preflight(on, off, "select_rows")
+    if on.shape != off.shape:
+        raise ShapeError(f"select_rows: shapes {on.shape} vs {off.shape}")
+    mask = np.asarray(mask, dtype=bool).reshape(-1, 1)
+    if mask.shape[0] != on.shape[0]:
+        raise ShapeError(f"select_rows: {mask.shape[0]} mask rows for {on.shape[0]} rows")
 
     def rule(g):
-        _accum(a, g * w.value)
-        if w.requires_grad:
-            _accum(w, (g * a.value).sum(axis=1, keepdims=True))
+        if on.requires_grad:
+            _accum(on, np.where(mask, g, 0.0))
+        if off.requires_grad:
+            _accum(off, np.where(mask, 0.0, g))
 
-    return _make(a.value * w.value, (w, a), rule, "bmul_col")
+    return _make(np.where(mask, on.value, off.value), (on, off), rule, "select_rows")
 
 
 # ---------------------------------------------------------------------------
-# composites
+# set ops
+#
+# A batch of G sets of up to S members is one (S*G) x d matrix stored
+# member-major: row s*G + g is member s of set g. An optional S x G boolean
+# mask marks the real members; padded rows are ignored, and set_attention
+# returns them as zero rows.
 # ---------------------------------------------------------------------------
 
-def cosine(a, b):
-    """Cosine similarity of two row vectors (1 x d nodes), as a scalar node.
+def _set_shape(a, groups, mask, op):
+    groups = int(groups)
+    if groups < 1 or a.shape[0] == 0 or a.shape[0] % groups:
+        raise ShapeError(f"{op}: {a.shape[0]} rows do not split into {groups} nonempty sets")
+    size = a.shape[0] // groups
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (size, groups):
+            raise ShapeError(f"{op}: mask shape {mask.shape}, sets need {(size, groups)}")
+        if not mask.any(axis=0).all():
+            raise ShapeError(f"{op}: a set has no members")
+    return size, groups, mask
 
-    Both inputs must have the same length >= 1 and nonzero norm; a zero
-    vector raises :class:`DegenerateVectorError`. The result lies in
-    [-1, 1] up to roundoff.
+
+def _group_major(x, size, groups):
+    """(S*G) x d member-major rows as a G x S x d view."""
+    return x.reshape(size, groups, -1).transpose(1, 0, 2)
+
+
+def _member_major(x):
+    """G x S x d back to contiguous (S*G) x d member-major rows."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, x.shape[2])
+
+
+def set_attention(h, w_k, w_q, groups=1, mask=None):
+    """One self-attention layer applied to every set of a batch.
+
+    Within a set, member rows become softmax((H Wk)(H Wq)^T / sqrt(d)) H:
+    there is no value projection and no residual path, so the softmax
+    weights recombine the raw member rows. Padded members get zero weight.
     """
-    if a.shape[0] != 1 or b.shape[0] != 1:
-        raise ShapeError(f"cosine: expects row vectors, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"cosine: lengths differ, {a.shape[1]} vs {b.shape[1]}")
-    return matmul(normalize_rows(a), transpose(normalize_rows(b)))
+    for w in (w_k, w_q):
+        _binary_preflight(h, w, "set_attention")
+    d = h.shape[1]
+    if w_k.shape != (d, d) or w_q.shape != (d, d):
+        raise ShapeError(f"set_attention: weights {w_k.shape}, {w_q.shape} for width {d}")
+    size, groups, mask = _set_shape(h, groups, mask, "set_attention")
+    scale = math.sqrt(float(d))
+    x = _group_major(h.value, size, groups)
+    keys = _group_major(h.value @ w_k.value, size, groups)
+    queries = _group_major(h.value @ w_q.value, size, groups)
+    logits = (keys @ queries.transpose(0, 2, 1)) / scale
+    if mask is not None:
+        logits = np.where(mask.T[:, None, :], logits, -np.inf)
+    p = kernels.softmax_rows(logits.reshape(-1, size)).reshape(groups, size, size)
+    out = p @ x
+    if mask is not None:
+        out *= mask.T[:, :, None]
+
+    def rule(g):
+        g = _group_major(g, size, groups)
+        if mask is not None:
+            g = g * mask.T[:, :, None]
+        dp = g @ x.transpose(0, 2, 1)
+        dl = kernels.softmax_rows_grad(p.reshape(-1, size), dp.reshape(-1, size))
+        dl = dl.reshape(groups, size, size) / scale
+        d_keys = _member_major(dl @ queries)
+        d_queries = _member_major(dl.transpose(0, 2, 1) @ keys)
+        if w_k.requires_grad:
+            _accum(w_k, h.value.T @ d_keys)
+        if w_q.requires_grad:
+            _accum(w_q, h.value.T @ d_queries)
+        if h.requires_grad:
+            d_x = _member_major(p.transpose(0, 2, 1) @ g)
+            _accum(h, d_x + d_keys @ w_k.value.T + d_queries @ w_q.value.T)
+
+    return _make(_member_major(out), (h, w_k, w_q), rule, "set_attention")
 
 
-def attention_scale(d):
-    """The 1/sqrt(d) logit scale shared by both encoder levels."""
-    return math.sqrt(float(d))
+def group_mean(h, groups=1, mask=None):
+    """Mean of each set's members as a G x d matrix.
+
+    Members are summed in order and the sum is divided once by the member
+    count, which is how ``np.mean(axis=0)`` reduces a stack of rows, so each
+    mean has the same bits as ``np.mean`` over that set's members.
+    """
+    size, groups, mask = _set_shape(h, groups, mask, "group_mean")
+    x = h.value.reshape(size, groups, -1)
+    acc = x[0].copy() if mask is None else np.where(mask[0][:, None], x[0], 0)
+    for s in range(1, size):
+        np.add(acc, x[s], out=acc, where=True if mask is None else mask[s][:, None])
+    count = size if mask is None else mask.sum(axis=0).astype(h.dtype)[:, None]
+
+    def rule(g):
+        share = np.broadcast_to(g / count, (size, groups, g.shape[1]))
+        if mask is not None:
+            share = share * mask[:, :, None]
+        _accum(h, share.reshape(h.shape))
+
+    return _make(acc / count, (h,), rule, "group_mean")

@@ -27,7 +27,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .bundle_encoder import BundleEncoderParams, encode_bundle, init_bundle_params
+from .bundle_encoder import (
+    BundleEncoderParams,
+    encode_bundle,
+    gather_members,
+    init_bundle_params,
+)
 from .cf_pretrain import CfEmbeddings
 from .contrastive import AugmentationConfig, augment_bundle, augment_inputs, info_nce
 from .corpus import sample_partial, split_bundles, warm_items
@@ -163,11 +168,9 @@ def _batch_nll(scores, target_sets):
 
 
 def _encode_views(views, f_table, bundle_params, use_attention):
-    rows = []
-    for view in views:
-        idx = sorted(view.seeds)
-        rows.append(encode_bundle(nm.take_rows(f_table, idx), bundle_params, use_attention))
-    return nm.vconcat(rows)
+    """One row per view: all views' seed sets encoded as one padded batch."""
+    rows, mask = gather_members(f_table, [view.seeds for view in views])
+    return encode_bundle(rows, bundle_params, use_attention, mask)
 
 
 def total_loss(views, model, inputs, rng, all_views=None):

@@ -79,3 +79,36 @@ def test_gradients_match_finite_differences(rng):
         analytic = p.adjoint.copy()
         num = numeric_grad(f, p.value, h=1e-6)
         assert rel_err(analytic, num) < 1e-4, name
+
+
+class TestBatchedViews:
+    SETS = [{1, 2, 3}, {4}, {5, 6}, {7, 8, 9, 0}, {2, 9}]
+
+    def test_batch_matches_one_at_a_time(self, rng):
+        from test_item_encoder import encode_set_oracle
+
+        params = make_params(rng, layers=2)
+        table = rng.normal(size=(10, 4))
+        rows, mask = be.gather_members(nm.constant(table, F64), self.SETS)
+        assert rows.shape == (4 * len(self.SETS), 4) and mask.sum() == 12
+        e = be.encode_bundle(rows, params, mask=mask).value
+        layers = [(wk.value, wq.value) for wk, wq in params.layers]
+        for g, items in enumerate(self.SETS):
+            want = encode_set_oracle(table[sorted(items)], layers)
+            np.testing.assert_allclose(e[g], want, atol=1e-10)
+            single = be.encode_bundle(nm.constant(table[sorted(items)], F64), params).value
+            np.testing.assert_allclose(e[g], single[0], atol=1e-12)
+
+    def test_batch_gradients_match_finite_differences(self, rng):
+        params = make_params(rng, layers=1)
+        table = nm.parameter(rng.normal(size=(10, 4)), F64)
+        weights = nm.constant(rng.normal(size=(len(self.SETS), 4)), F64)
+
+        def loss():
+            rows, mask = be.gather_members(table, self.SETS)
+            return nm.sum_all(nm.mul(be.encode_bundle(rows, params, mask=mask), weights))
+
+        nm.backward(loss())
+        for name, p in (("wk", params.layers[0][0]), ("wq", params.layers[0][1]), ("table", table)):
+            num = numeric_grad(lambda: loss().item(), p.value, h=1e-6)
+            assert rel_err(p.adjoint, num) < 1e-4, name

@@ -192,6 +192,17 @@ class TestTrainCommand:
         ]
         assert ref == got
 
+    @pytest.mark.parametrize("setting", ["model.d=true", "train.epochs=true", "train.lr=false"])
+    def test_boolean_for_number_exits_2(self, pipeline, tmp_path, setting):
+        _, _, data, cf, _ = pipeline
+        out = tmp_path / "m.ckpt"
+        proc = cli_subprocess("train", "--data", str(data), "--cf", str(cf), "--out", str(out),
+                              "--set", setting)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert setting.split("=")[0] in proc.stderr
+        assert not out.exists()
+
     def test_divergence_exits_3(self, pipeline, tmp_path):
         _, _, data, cf, _ = pipeline
         out = tmp_path / "m.ckpt"
@@ -345,6 +356,27 @@ class TestMalformedCheckpoint:
             code = main(["train", "--data", str(data), "--cf", str(cut_path), "--out", str(out)])
             assert code == 2, n
             assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", ["zero_width", "user_count"])
+    def test_degenerate_cf_checkpoint_exits_2(self, pipeline, tmp_path, change):
+        _, _, data, cf, _ = pipeline
+        blob = Path(cf).read_bytes()
+        version, m, n, d, k = struct.unpack_from("<IIIII", blob, 4)
+        if change == "zero_width":
+            bad_blob = blob[:4] + struct.pack("<IIIII", version, m, n, 0, k)
+        else:
+            # one more user row than the corpus has users
+            users_end = 24 + m * d * 4
+            bad_blob = (blob[:4] + struct.pack("<IIIII", version, m + 1, n, d, k)
+                        + blob[24:users_end] + bytes(4 * d) + blob[users_end:])
+        bad = tmp_path / "bad.cf"
+        bad.write_bytes(bad_blob)
+        out = tmp_path / "m.ckpt"
+        proc = cli_subprocess("train", "--data", str(data), "--cf", str(bad), "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert ("d=0" if change == "zero_width" else "users") in proc.stderr
         assert not out.exists()
 
     def edited(self, model, tmp_path, edit):

@@ -61,3 +61,11 @@ def test_negative_weights_rejected():
     cfg = load_config(None, ["train.beta=-0.1"])
     with pytest.raises(ConfigError):
         train_config(cfg)
+
+
+def test_booleans_rejected_for_numbers():
+    for assignment in ("model.d=true", "train.epochs=true", "seed=false", "train.lr=true"):
+        with pytest.raises(ConfigError, match=assignment.split("=")[0]):
+            load_config(None, [assignment])
+    with pytest.raises(ConfigError):
+        apply_set(DEFAULTS, "ablation.use_item_cl=0.0")

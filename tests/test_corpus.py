@@ -210,3 +210,45 @@ class TestCorruptPartial:
     def test_rate_out_of_range(self):
         with pytest.raises(IntegrityError):
             C.corrupt_partial(self.view(), "sparsify", 0.95, np.random.default_rng(0), 100)
+
+
+def perturb_oracle(view, mode, ratio, rng, n_items):
+    """The per-mode seed perturbations as separate Python loops: sparsify and
+    ID drop seeds, noisify adds non-members, IR drops and then adds."""
+    seeds = sorted(view.seeds)
+    k = int(ratio * len(seeds))
+    if mode in ("sparsify", "ID"):
+        k = min(k, len(seeds) - 1)
+    if k <= 0:
+        return view
+    member = view.seeds | view.targets
+    candidates = np.asarray([i for i in range(n_items) if i not in member], dtype=np.int64)
+    new = view.seeds
+    if mode in ("sparsify", "ID", "IR"):
+        drop = set(int(x) for x in rng.choice(len(seeds), size=k, replace=False))
+        new = frozenset(s for pos, s in enumerate(seeds) if pos not in drop)
+    if mode in ("noisify", "IR"):
+        new = new | frozenset(int(x) for x in rng.choice(candidates, size=k, replace=False))
+    return C.PartialBundleView(view.bundle_index, new, view.targets)
+
+
+def test_seed_perturbations_match_loop_oracle():
+    from bundlecraft.contrastive import AugmentationConfig, augment_bundle
+
+    draw = np.random.default_rng(17)
+    for trial in range(300):
+        n_items = int(draw.integers(12, 60))
+        items = draw.permutation(n_items)
+        n_seeds = int(draw.integers(1, 7))
+        view = C.PartialBundleView(trial, frozenset(int(i) for i in items[:n_seeds]),
+                                   frozenset(int(i) for i in items[n_seeds: n_seeds + 3]))
+        mode = ("sparsify", "noisify", "ID", "IR")[trial % 4]
+        ratio = float(draw.choice([0.0, 0.25, 0.5, 0.9]))
+        got_rng, want_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+        if mode in ("sparsify", "noisify"):
+            got = C.corrupt_partial(view, mode, ratio, got_rng, n_items)
+        else:
+            cfg = AugmentationConfig(dropout_ratio=ratio)
+            got = augment_bundle(view, mode, cfg, got_rng, n_items)
+        assert got == perturb_oracle(view, mode, ratio, want_rng, n_items), (trial, mode)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state

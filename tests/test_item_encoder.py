@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import bundlecraft.numerics as nm
 from bundlecraft import item_encoder as ie
+from bundlecraft.corpus import FeatureTable
 from bundlecraft.errors import ShapeError
 
 from conftest import numeric_grad, rel_err
@@ -14,6 +17,10 @@ def make_params(rng, n_items=6, feat_dim=5, cf_dim=3, d=4, layers=2):
     return ie.init_item_params(n_items, feat_dim, cf_dim, d, layers, rng, F64)
 
 
+# ---------------------------------------------------------------------------
+# plain-numpy per-set oracles
+# ---------------------------------------------------------------------------
+
 def brute_force_attention(h, w_k, w_q):
     d = w_k.shape[0]
     logits = (h @ w_k) @ (h @ w_q).T / np.sqrt(d)
@@ -22,86 +29,173 @@ def brute_force_attention(h, w_k, w_q):
     return p @ h
 
 
+def encode_set_oracle(h, layers):
+    """L attention layers over one n x d set, then the row mean."""
+    for w_k, w_q in layers:
+        h = brute_force_attention(h, w_k, w_q)
+    return h.mean(axis=0)
+
+
+def item_rows_oracle(params, content, feedback, id_row, slot_fill="projected", forced=()):
+    """One item's 3 x d slot rows: projected content, feedback (None when the
+    item has none) and id row (None when id-cold), with slot filling and the
+    slots in ``forced`` replaced by the projected content."""
+    w_c, w_p = params.w_c.value, params.w_p.value
+    row_c = content @ w_c
+    if feedback is not None:
+        row_p = feedback @ w_p
+    elif slot_fill == "raw":
+        row_p = content @ w_p
+    else:
+        row_p = row_c
+    row_v = row_c if id_row is None else id_row
+    rows = [row_c, row_p, row_v]
+    return np.vstack([row_c if s in forced else row for s, row in enumerate(rows)])
+
+
+def random_inputs(rng, n, feat=5, cfd=3, forced=False):
+    content = rng.normal(size=(n, feat))
+    feedback = rng.normal(size=(n, cfd))
+    present = rng.random(n) > 0.4
+    feedback[~present] = 0.0
+    return ie.ItemInputs(
+        content=content, feedback=feedback, feedback_present=present,
+        id_warm=rng.random(n) > 0.3,
+        forced_fallback=rng.random((n, 3)) < 0.3 if forced else None,
+    )
+
+
+def oracle_rows_of(inputs, params, i, slot_fill="projected"):
+    forced = inputs.forced_fallback
+    return item_rows_oracle(
+        params, inputs.content[i],
+        inputs.feedback[i] if inputs.feedback_present[i] else None,
+        params.v.value[i] if inputs.id_warm[i] else None,
+        slot_fill,
+        forced=() if forced is None else set(np.flatnonzero(forced[i])),
+    )
+
+
+def slot_rows(inputs, params, i, **kw):
+    """Item i's rows of the (unattended) slot stack, one per slot."""
+    slots = ie.item_slots(inputs, params, use_attention=False, dtype=F64, **kw)
+    return slots.value.reshape(-1, inputs.n_items, params.d)[:, i]
+
+
+def attention(h, wk, wq):
+    """The set-attention layer on a single set."""
+    return nm.set_attention(nm.constant(h, F64), nm.constant(wk, F64), nm.constant(wq, F64)).value
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
 class TestContentFeature:
+    """build_item_inputs averages the modalities an item has."""
+
+    def content_of(self, text, media):
+        present = [x for x in (text, media) if x is not None]
+        dim = len(present[0]) if present else 4
+
+        def row(x):
+            return np.zeros((1, dim)) if x is None else np.asarray(x, F64).reshape(1, dim)
+
+        features = FeatureTable(
+            text=row(text), text_present=np.array([text is not None]),
+            media=row(media), media_present=np.array([media is not None]),
+        )
+        inputs = ie.build_item_inputs(
+            SimpleNamespace(n_items=1), features,
+            SimpleNamespace(item_table=np.zeros((1, 2))),
+            SimpleNamespace(item_degree=np.zeros(1, dtype=np.int64)),
+            frozenset(), F64,
+        )
+        return inputs.content[0]
+
     def test_mean_of_equal_inputs(self, rng):
         t = rng.normal(size=5)
-        np.testing.assert_array_equal(ie.content_feature(t, t), t)
+        np.testing.assert_array_equal(self.content_of(t, t), t)
 
     def test_single_modality_passthrough(self, rng):
         t = rng.normal(size=5)
-        np.testing.assert_array_equal(ie.content_feature(t, None), t)
-        np.testing.assert_array_equal(ie.content_feature(None, t), t)
+        np.testing.assert_array_equal(self.content_of(t, None), t)
+        np.testing.assert_array_equal(self.content_of(None, t), t)
 
     def test_arithmetic(self):
-        out = ie.content_feature(np.ones(4), 3 * np.ones(4))
+        out = self.content_of(np.ones(4), 3 * np.ones(4))
         np.testing.assert_array_equal(out, 2 * np.ones(4))
 
     def test_both_absent_rejected(self):
         with pytest.raises(ShapeError):
-            ie.content_feature(None, None)
+            self.content_of(None, None)
 
 
 class TestBuildFeatureMatrix:
+    """The slot stack: slot s of item i is row s * N + i."""
+
+    def inputs(self, rng, n=4, feat=5, cfd=3, present=True, warm=True):
+        return ie.ItemInputs(
+            content=rng.normal(size=(n, feat)),
+            feedback=rng.normal(size=(n, cfd)) if present else np.zeros((n, cfd)),
+            feedback_present=np.full(n, present),
+            id_warm=np.full(n, warm),
+        )
+
     def test_warm_item_shape_and_rows(self, rng):
-        params = make_params(rng)
-        item = ie.ItemFeatureBundle(rng.normal(size=5), rng.normal(size=3), id_index=2)
-        f = ie.build_feature_matrix(item, params, dtype=F64)
-        assert f.shape == (3, 4)
-        np.testing.assert_allclose(f.value[0], (item.content @ params.w_c.value), atol=1e-12)
-        np.testing.assert_allclose(f.value[1], (item.feedback @ params.w_p.value), atol=1e-12)
-        np.testing.assert_allclose(f.value[2], params.v.value[2], atol=1e-12)
+        params = make_params(rng, n_items=4)
+        inputs = self.inputs(rng)
+        slots = ie.item_slots(inputs, params, use_attention=False, dtype=F64)
+        assert slots.shape == (12, 4)
+        rows = slot_rows(inputs, params, 2)
+        np.testing.assert_allclose(rows[0], inputs.content[2] @ params.w_c.value, atol=1e-12)
+        np.testing.assert_allclose(rows[1], inputs.feedback[2] @ params.w_p.value, atol=1e-12)
+        np.testing.assert_allclose(rows[2], params.v.value[2], atol=1e-12)
 
     def test_fully_cold_collapses_to_content(self, rng):
-        params = make_params(rng)
-        item = ie.ItemFeatureBundle(rng.normal(size=5), None, id_index=1, id_cold=True)
-        f = ie.build_feature_matrix(item, params, dtype=F64)
-        row = item.content @ params.w_c.value
+        params = make_params(rng, n_items=4)
+        inputs = self.inputs(rng, present=False, warm=False)
+        rows = slot_rows(inputs, params, 1)
+        row = inputs.content[1] @ params.w_c.value
         for r in range(3):
-            np.testing.assert_allclose(f.value[r], row, atol=1e-12)
+            np.testing.assert_allclose(rows[r], row, atol=1e-12)
 
     def test_feedback_cold_bundle_warm(self, rng):
-        params = make_params(rng)
-        item = ie.ItemFeatureBundle(rng.normal(size=5), None, id_index=3, id_cold=False)
-        f = ie.build_feature_matrix(item, params, dtype=F64)
-        np.testing.assert_array_equal(f.value[0], f.value[1])
-        np.testing.assert_allclose(f.value[2], params.v.value[3], atol=1e-12)
+        params = make_params(rng, n_items=4)
+        inputs = self.inputs(rng, present=False, warm=True)
+        rows = slot_rows(inputs, params, 3)
+        np.testing.assert_array_equal(rows[0], rows[1])
+        np.testing.assert_allclose(rows[2], params.v.value[3], atol=1e-12)
 
     def test_raw_slot_fill_projects_through_wp(self, rng):
-        params = make_params(rng, feat_dim=5, cf_dim=5)
-        item = ie.ItemFeatureBundle(rng.normal(size=5), None, id_index=0)
-        f = ie.build_feature_matrix(item, params, slot_fill="raw", dtype=F64)
-        np.testing.assert_allclose(f.value[1], item.content @ params.w_p.value, atol=1e-12)
+        params = make_params(rng, n_items=4, feat_dim=5, cf_dim=5)
+        inputs = self.inputs(rng, cfd=5, present=False)
+        rows = slot_rows(inputs, params, 0, slot_fill="raw")
+        np.testing.assert_allclose(rows[1], inputs.content[0] @ params.w_p.value, atol=1e-12)
 
 
 class TestAttentionLayer:
     def test_single_row_identity(self, rng):
         h = rng.normal(size=(1, 4))
-        wk = nm.constant(rng.normal(size=(4, 4)), F64)
-        wq = nm.constant(rng.normal(size=(4, 4)), F64)
-        out = ie.attention_layer(nm.constant(h, F64), wk, wq)
-        np.testing.assert_allclose(out.value, h, atol=1e-12)
+        out = attention(h, rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
+        np.testing.assert_allclose(out, h, atol=1e-12)
 
     def test_zero_weights_give_uniform_mean(self, rng):
         h = rng.normal(size=(5, 4))
-        zero = nm.constant(np.zeros((4, 4)), F64)
-        out = ie.attention_layer(nm.constant(h, F64), zero, zero)
-        np.testing.assert_allclose(out.value, np.tile(h.mean(axis=0), (5, 1)), atol=1e-12)
+        zero = np.zeros((4, 4))
+        out = attention(h, zero, zero)
+        np.testing.assert_allclose(out, np.tile(h.mean(axis=0), (5, 1)), atol=1e-12)
 
     def test_matches_brute_force(self, rng):
         h = rng.normal(size=(3, 4))
         wk = rng.normal(size=(4, 4))
         wq = rng.normal(size=(4, 4))
-        out = ie.attention_layer(nm.constant(h, F64), nm.constant(wk, F64), nm.constant(wq, F64))
-        np.testing.assert_allclose(out.value, brute_force_attention(h, wk, wq), atol=1e-10)
+        np.testing.assert_allclose(attention(h, wk, wq), brute_force_attention(h, wk, wq), atol=1e-10)
 
     def test_output_rows_are_convex_combinations(self, rng):
         for _ in range(25):
             h = rng.normal(size=(4, 3))
-            wk = rng.normal(size=(3, 3))
-            wq = rng.normal(size=(3, 3))
-            out = ie.attention_layer(
-                nm.constant(h, F64), nm.constant(wk, F64), nm.constant(wq, F64)
-            ).value
+            out = attention(h, rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
             lo = h.min(axis=0) - 1e-12
             hi = h.max(axis=0) + 1e-12
             assert (out >= lo).all() and (out <= hi).all()
@@ -111,95 +205,71 @@ class TestAttentionLayer:
         wk = rng.normal(size=(4, 4))
         wq = rng.normal(size=(4, 4))
         perm = np.array([2, 0, 1])
-        base = ie.attention_layer(
-            nm.constant(h, F64), nm.constant(wk, F64), nm.constant(wq, F64)
-        ).value
-        permuted = ie.attention_layer(
-            nm.constant(h[perm], F64), nm.constant(wk, F64), nm.constant(wq, F64)
-        ).value
-        np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
+        np.testing.assert_allclose(attention(h[perm], wk, wq), attention(h, wk, wq)[perm], atol=1e-12)
 
     def test_identical_rows_fixed_point(self, rng):
-        row = rng.normal(size=(1, 4))
-        h = np.tile(row, (3, 1))
-        wk = rng.normal(size=(4, 4))
-        wq = rng.normal(size=(4, 4))
-        out = ie.attention_layer(
-            nm.constant(h, F64), nm.constant(wk, F64), nm.constant(wq, F64)
-        ).value
+        h = np.tile(rng.normal(size=(1, 4)), (3, 1))
+        out = attention(h, rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
         np.testing.assert_allclose(out, h, atol=1e-12)
 
 
 class TestEncodeItem:
     def test_no_layers_gives_slot_mean(self, rng):
         params = make_params(rng, layers=0)
-        item = ie.ItemFeatureBundle(rng.normal(size=5), rng.normal(size=3), id_index=1)
-        f = ie.encode_item(item, params, dtype=F64)
-        rows = ie.build_feature_matrix(item, params, dtype=F64).value
-        np.testing.assert_allclose(f.value[0], rows.mean(axis=0), atol=1e-12)
+        inputs = random_inputs(rng, 6)
+        table = ie.encode_item_table(inputs, params, dtype=F64).value
+        for i in range(6):
+            np.testing.assert_allclose(
+                table[i], oracle_rows_of(inputs, params, i).mean(axis=0), atol=1e-12)
 
     def test_cold_collapse_invariance_any_depth(self, rng):
         params = make_params(rng, layers=3)
-        item = ie.ItemFeatureBundle(rng.normal(size=5), None, id_index=0, id_cold=True)
-        f = ie.encode_item(item, params, dtype=F64)
-        np.testing.assert_allclose(
-            f.value[0], item.content @ params.w_c.value, atol=1e-10
-        )
+        inputs = random_inputs(rng, 6)
+        inputs.feedback_present[0] = False
+        inputs.feedback[0] = 0.0
+        inputs.id_warm[0] = False
+        table = ie.encode_item_table(inputs, params, dtype=F64).value
+        np.testing.assert_allclose(table[0], inputs.content[0] @ params.w_c.value, atol=1e-10)
 
     def test_matches_layered_brute_force(self, rng):
         params = make_params(rng, layers=2)
-        item = ie.ItemFeatureBundle(rng.normal(size=5), rng.normal(size=3), id_index=4)
-        got = ie.encode_item(item, params, dtype=F64).value[0]
-        h = ie.build_feature_matrix(item, params, dtype=F64).value
-        for wk, wq in params.layers:
-            h = brute_force_attention(h, wk.value, wq.value)
-        np.testing.assert_allclose(got, h.mean(axis=0), atol=1e-9)
+        inputs = random_inputs(rng, 6)
+        table = ie.encode_item_table(inputs, params, dtype=F64).value
+        layers = [(wk.value, wq.value) for wk, wq in params.layers]
+        for i in range(6):
+            want = encode_set_oracle(oracle_rows_of(inputs, params, i), layers)
+            np.testing.assert_allclose(table[i], want, atol=1e-9)
 
     def test_gradients_match_finite_differences(self, rng):
-        params = make_params(rng, layers=1)
-        item = ie.ItemFeatureBundle(rng.normal(size=5), rng.normal(size=3), id_index=2)
-        weights = rng.normal(size=(1, 4))
+        params = make_params(rng, n_items=4, layers=1)
+        inputs = random_inputs(rng, 4, forced=True)
+        weights = nm.constant(rng.normal(size=(4, 4)), F64)
 
-        loss = nm.sum_all(nm.mul(ie.encode_item(item, params, dtype=F64), nm.constant(weights, F64)))
-        nm.backward(loss)
+        def loss():
+            return nm.sum_all(nm.mul(ie.encode_item_table(inputs, params, dtype=F64), weights))
 
+        nm.backward(loss())
         named = [
             ("w_c", params.w_c), ("w_p", params.w_p), ("v", params.v),
             ("wk", params.layers[0][0]), ("wq", params.layers[0][1]),
         ]
         for name, p in named:
-            analytic = p.adjoint.copy()
-
-            def f(p=p):
-                out = ie.encode_item(item, params, dtype=F64)
-                return nm.sum_all(nm.mul(out, nm.constant(weights, F64))).item()
-
-            num = numeric_grad(f, p.value, h=1e-6)
-            assert rel_err(analytic, num) < 1e-4, name
+            num = numeric_grad(lambda: loss().item(), p.value, h=1e-6)
+            assert rel_err(p.adjoint, num) < 1e-4, name
 
 
 class TestBatchedPath:
     def test_matches_single_item_path(self, rng):
-        n, feat, cfd, d = 7, 5, 3, 4
-        params = make_params(rng, n_items=n, feat_dim=feat, cf_dim=cfd, d=d, layers=2)
-        content = rng.normal(size=(n, feat))
-        feedback = rng.normal(size=(n, cfd))
-        fb_present = rng.random(n) > 0.4
-        feedback[~fb_present] = 0.0
-        warm = rng.random(n) > 0.3
-        inputs = ie.ItemInputs(
-            content=content, feedback=feedback, feedback_present=fb_present, id_warm=warm
-        )
-        table = ie.encode_item_table(inputs, params, dtype=F64)
-        for i in range(n):
-            item = ie.ItemFeatureBundle(
-                content=content[i],
-                feedback=feedback[i] if fb_present[i] else None,
-                id_index=i,
-                id_cold=not warm[i],
-            )
-            single = ie.encode_item(item, params, dtype=F64)
-            np.testing.assert_allclose(single.value[0], table.value[i], atol=1e-11)
+        n = 7
+        for slot_fill, cfd in (("projected", 3), ("raw", 5)):
+            for forced in (False, True):
+                params = make_params(rng, n_items=n, feat_dim=5, cf_dim=cfd, layers=2)
+                inputs = random_inputs(rng, n, cfd=cfd, forced=forced)
+                table = ie.encode_item_table(inputs, params, slot_fill=slot_fill, dtype=F64)
+                layers = [(wk.value, wq.value) for wk, wq in params.layers]
+                for i in range(n):
+                    want = encode_set_oracle(oracle_rows_of(inputs, params, i, slot_fill), layers)
+                    np.testing.assert_allclose(table.value[i], want, atol=1e-11)
 
     def test_attention_off_is_slot_mean(self, rng):
         n = 4
@@ -227,7 +297,7 @@ class TestBatchedPath:
             id_warm=np.ones(n, dtype=bool),
             forced_fallback=forced,
         )
-        slots = ie.slot_nodes(inputs, params, dtype=F64)
         cp = inputs.content @ params.w_c.value
-        np.testing.assert_allclose(slots[ie.SLOT_ID].value[1], cp[1], atol=1e-12)
-        np.testing.assert_allclose(slots[ie.SLOT_ID].value[0], params.v.value[0], atol=1e-12)
+        np.testing.assert_allclose(slot_rows(inputs, params, 1)[ie.SLOT_ID], cp[1], atol=1e-12)
+        np.testing.assert_allclose(
+            slot_rows(inputs, params, 0)[ie.SLOT_ID], params.v.value[0], atol=1e-12)

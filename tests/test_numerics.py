@@ -71,27 +71,29 @@ class TestSoftmaxRows:
 
 
 class TestMeanRows:
+    """The row mean is group_mean over a single set."""
+
     def test_single_row_unchanged(self, rng):
         row = rng.normal(size=(1, 6))
-        out = nm.mean_rows(nm.constant(row, F64))
+        out = nm.group_mean(nm.constant(row, F64))
         np.testing.assert_array_equal(out.value, row)
 
     def test_hand_arithmetic(self):
-        out = nm.mean_rows(nm.constant([[1.0, 3.0], [3.0, 1.0]], F64))
+        out = nm.group_mean(nm.constant([[1.0, 3.0], [3.0, 1.0]], F64))
         assert out.value.tolist() == [[2.0, 2.0]]
 
     def test_zero_rows_error(self):
         with pytest.raises(ShapeError):
-            nm.mean_rows(nm.constant(np.zeros((0, 3)), F64))
+            nm.group_mean(nm.constant(np.zeros((0, 3)), F64))
 
     def test_backward_distributes_evenly(self, rng):
         x = nm.parameter(rng.normal(size=(4, 3)), F64)
         w = rng.normal(size=(1, 3))
-        loss = nm.sum_all(nm.mul(nm.mean_rows(x), nm.constant(w, F64)))
+        loss = nm.sum_all(nm.mul(nm.group_mean(x), nm.constant(w, F64)))
         nm.backward(loss)
 
         def f():
-            m = nm.mean_rows(nm.constant(x.value, F64))
+            m = nm.group_mean(nm.constant(x.value, F64))
             return nm.sum_all(nm.mul(m, nm.constant(w, F64))).item()
 
         num = numeric_grad(f, x.value)
@@ -100,35 +102,40 @@ class TestMeanRows:
         np.testing.assert_allclose(x.adjoint, np.tile(w / 4, (4, 1)))
 
 
+def cosine(a, b):
+    """Cosine similarity of two row vectors as info_nce forms it."""
+    return nm.matmul(nm.normalize_rows(a), nm.transpose(nm.normalize_rows(b)))
+
+
 class TestCosine:
     def test_self_similarity_is_one(self, rng):
         v = rng.normal(size=(1, 8))
-        out = nm.cosine(nm.constant(v, F64), nm.constant(v, F64))
+        out = cosine(nm.constant(v, F64), nm.constant(v, F64))
         assert abs(out.item() - 1.0) < 1e-12
 
     def test_orthogonal(self):
-        out = nm.cosine(nm.constant([[1.0, 0.0]], F64), nm.constant([[0.0, 1.0]], F64))
+        out = cosine(nm.constant([[1.0, 0.0]], F64), nm.constant([[0.0, 1.0]], F64))
         assert abs(out.item()) < 1e-15
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateVectorError):
-            nm.cosine(nm.constant([[0.0, 0.0]], F64), nm.constant([[1.0, 0.0]], F64))
+            cosine(nm.constant([[0.0, 0.0]], F64), nm.constant([[1.0, 0.0]], F64))
 
     def test_range(self, rng):
         for _ in range(50):
             a = rng.normal(size=(1, 5))
             b = rng.normal(size=(1, 5))
-            val = nm.cosine(nm.constant(a, F64), nm.constant(b, F64)).item()
+            val = cosine(nm.constant(a, F64), nm.constant(b, F64)).item()
             assert -1.0 - 1e-12 <= val <= 1.0 + 1e-12
 
     def test_gradient_matches_finite_differences(self, rng):
         a = nm.parameter(rng.normal(size=(1, 6)), F64)
         b_val = rng.normal(size=(1, 6))
-        loss = nm.cosine(a, nm.constant(b_val, F64))
+        loss = cosine(a, nm.constant(b_val, F64))
         nm.backward(loss)
 
         def f():
-            return nm.cosine(nm.constant(a.value, F64), nm.constant(b_val, F64)).item()
+            return cosine(nm.constant(a.value, F64), nm.constant(b_val, F64)).item()
 
         num = numeric_grad(f, a.value)
         assert rel_err(a.adjoint, num) < 1e-6
@@ -188,7 +195,7 @@ def test_graph_evaluation_deterministic(rng):
     def build():
         a = nm.constant(x, F64)
         b = nm.constant(w, F64)
-        out = nm.mean_rows(nm.softmax_rows(nm.matmul(a, b)))
+        out = nm.group_mean(nm.softmax_rows(nm.matmul(a, b)))
         return out.value.tobytes()
 
     assert build() == build()
@@ -199,11 +206,18 @@ def _op_cases(rng):
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
     sq = rng.normal(size=(4, 4))
-    w = rng.normal(size=(3, 1))
     m2 = rng.normal(size=(4, 2))
+    sets = rng.normal(size=(6, 4))  # three sets of two members
+    mask = np.array([[True, True, True], [True, False, True]])
+    g3 = rng.normal(size=(3, 4))
+    rows = rng.random(3) < 0.5
+
+    def attn(h, wk, wq, m=None):
+        out = nm.set_attention(h, wk, wq, 3, m)
+        return nm.sum_all(nm.mul(nm.group_mean(out, 3, m), nm.constant(g3, F64)))
+
     return [
         ("add", lambda p: nm.sum_all(nm.mul(nm.add(p, nm.constant(b, F64)), nm.constant(b, F64))), a),
-        ("sub", lambda p: nm.sum_all(nm.mul(nm.sub(p, nm.constant(b, F64)), nm.constant(b, F64))), a),
         ("mul", lambda p: nm.sum_all(nm.mul(p, nm.constant(b, F64))), a),
         ("smul", lambda p: nm.sum_all(nm.smul(p, 2.7)), a),
         ("sdiv", lambda p: nm.sum_all(nm.sdiv(p, 3.1)), a),
@@ -211,16 +225,23 @@ def _op_cases(rng):
         ("transpose", lambda p: nm.sum_all(nm.mul(nm.transpose(p), nm.constant(b.T.copy(), F64))), a),
         ("softmax", lambda p: nm.sum_all(nm.mul(nm.softmax_rows(p), nm.constant(b, F64))), a),
         ("log_softmax", lambda p: nm.sum_all(nm.mul(nm.log_softmax_rows(p), nm.constant(b, F64))), a),
-        ("mean_rows", lambda p: nm.sum_all(nm.mul(nm.mean_rows(p), nm.constant(b[:1], F64))), a),
-        ("rowsum", lambda p: nm.sum_all(nm.mul(nm.rowsum(p), nm.constant(w, F64))), a),
         ("mean_all", lambda p: nm.mean_all(nm.mul(p, p)), a),
         ("normalize", lambda p: nm.sum_all(nm.mul(nm.normalize_rows(p), nm.constant(b, F64))), a),
-        ("hconcat", lambda p: nm.sum_all(nm.mul(nm.hconcat([p, p]), nm.constant(np.hstack([b, b]), F64))), a),
         ("vconcat", lambda p: nm.sum_all(nm.mul(nm.vconcat([p, p]), nm.constant(np.vstack([b, b]), F64))), a),
         ("take_rows", lambda p: nm.sum_all(nm.take_rows(p, [0, 2, 2])), a),
-        ("take_col", lambda p: nm.sum_all(nm.mul(nm.take_col(p, 1), nm.constant(w, F64))), a),
         ("take_diag", lambda p: nm.sum_all(nm.take_diag(p)), sq),
-        ("bmul_col", lambda p: nm.sum_all(nm.bmul_col(nm.take_col(p, 0), nm.constant(b, F64))), a),
+        ("select_rows", lambda p: nm.sum_all(nm.mul(
+            nm.select_rows(rows, p, nm.smul(p, -2.0)), nm.constant(b, F64))), a),
+        ("group_mean", lambda p: nm.sum_all(nm.mul(nm.group_mean(p, 3), nm.constant(g3, F64))), sets),
+        ("group_mean_masked", lambda p: nm.sum_all(nm.mul(
+            nm.group_mean(p, 3, mask), nm.constant(g3, F64))), sets),
+        ("set_attention_h", lambda p: attn(p, nm.constant(sq, F64), nm.constant(sq.T.copy(), F64)), sets),
+        ("set_attention_h_masked", lambda p: attn(
+            p, nm.constant(sq, F64), nm.constant(sq.T.copy(), F64), mask), sets),
+        ("set_attention_wk", lambda p: attn(nm.constant(sets, F64), p, nm.constant(sq.T.copy(), F64),
+                                            mask), sq),
+        ("set_attention_wq", lambda p: attn(nm.constant(sets, F64), nm.constant(sq, F64), p, mask), sq),
+        ("set_attention_unmasked_wq", lambda p: attn(nm.constant(sets, F64), nm.constant(sq, F64), p), sq),
     ]
 
 
@@ -243,3 +264,105 @@ def test_all_ops_gradcheck_many_draws():
             assert rel_err(analytic, num) < 1e-4, f"{name} draw {draw}"
             checked += 1
     assert checked >= 100
+
+
+def padded_batch(rng, sizes, d=4, scatter=False):
+    """Sets of the given sizes stored member-major under a mask.
+
+    Members fill the first slots of their column, or random slots when
+    ``scatter``; padded rows hold junk that must not matter.
+    """
+    size, groups = max(sizes), len(sizes)
+    members = [rng.normal(size=(n, d)) for n in sizes]
+    x = rng.normal(size=(size, groups, d)) * 100.0
+    mask = np.zeros((size, groups), dtype=bool)
+    for g, rows in enumerate(members):
+        slots = np.sort(rng.permutation(size)[: len(rows)]) if scatter else np.arange(len(rows))
+        x[slots, g] = rows
+        mask[slots, g] = True
+    return members, x.reshape(size * groups, d), mask
+
+
+class TestSetOps:
+    SIZES = [3, 1, 5, 2, 5, 4]
+
+    def test_match_per_set_oracle(self, rng):
+        from test_item_encoder import brute_force_attention, encode_set_oracle
+
+        wk, wq = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+        for scatter in (False, True):
+            members, x, mask = padded_batch(rng, self.SIZES, scatter=scatter)
+            groups = len(self.SIZES)
+            att = nm.set_attention(nm.constant(x, F64), nm.constant(wk, F64), nm.constant(wq, F64),
+                                   groups, mask)
+            rows = att.value.reshape(-1, groups, 4)
+            means = nm.group_mean(att, groups, mask).value
+            plain = nm.group_mean(nm.constant(x, F64), groups, mask).value
+            for g, h in enumerate(members):
+                np.testing.assert_allclose(rows[mask[:, g], g], brute_force_attention(h, wk, wq),
+                                           atol=1e-10)
+                np.testing.assert_allclose(means[g], encode_set_oracle(h, [(wk, wq)]), atol=1e-10)
+                np.testing.assert_allclose(plain[g], h.mean(axis=0), atol=1e-10)
+            # padded rows come out zero and receive no gradient
+            assert not rows[~mask].any()
+            h = nm.parameter(x, F64)
+            nm.backward(nm.sum_all(nm.set_attention(h, nm.constant(wk, F64), nm.constant(wq, F64),
+                                                    groups, mask)))
+            assert not h.adjoint.reshape(-1, groups, 4)[~mask].any()
+
+    def test_permutation_invariance_under_padding(self):
+        worst = 0.0
+        for trial in range(50):
+            rng = np.random.default_rng(trial)
+            sizes = [int(n) for n in rng.integers(1, 8, size=int(rng.integers(1, 6)))]
+            members, x, mask = padded_batch(rng, sizes)
+            groups = len(sizes)
+            layers = [(nm.constant(rng.normal(size=(4, 4)), F64),
+                       nm.constant(rng.normal(size=(4, 4)), F64))
+                      for _ in range(int(rng.integers(1, 3)))]
+
+            def encode(x, mask):
+                h = nm.constant(x, F64)
+                for wk, wq in layers:
+                    h = nm.set_attention(h, wk, wq, groups, mask)
+                return nm.group_mean(h, groups, mask).value
+
+            base = encode(x, mask)
+            # shuffle each set's members over all of its slots, padding included
+            size = mask.shape[0]
+            perm = np.stack([rng.permutation(size) for _ in range(groups)], axis=1)
+            cols = np.arange(groups)[None, :]
+            x2 = x.reshape(size, groups, -1)[perm, cols].reshape(x.shape)
+            worst = max(worst, float(np.abs(encode(x2, mask[perm, cols]) - base).max()))
+        assert worst < 1e-10
+
+    def test_group_mean_bitwise_np_mean(self):
+        rng = np.random.default_rng(6)
+        sizes = list(range(1, 40))
+        members, x, mask = padded_batch(rng, sizes, d=8)
+        got = nm.group_mean(nm.constant(x, np.float32), len(sizes), mask).value
+        for g, h in enumerate(members):
+            want = h.astype(np.float32).mean(axis=0)
+            assert got[g].tobytes() == want.tobytes(), sizes[g]
+
+    def test_malformed_sets_rejected(self, rng):
+        x = nm.constant(rng.normal(size=(6, 4)), F64)
+        w = nm.constant(rng.normal(size=(4, 4)), F64)
+        with pytest.raises(ShapeError):
+            nm.group_mean(x, 4)
+        with pytest.raises(ShapeError):
+            nm.group_mean(x, 3, np.ones((3, 2), dtype=bool))
+        with pytest.raises(ShapeError):
+            nm.set_attention(x, w, w, 3, np.array([[True, False, True], [True, False, False]]))
+        with pytest.raises(ShapeError):
+            nm.set_attention(x, w, nm.constant(np.ones((4, 3)), F64), 3)
+
+    def test_select_rows_routes_rows_and_gradients(self, rng):
+        on = nm.parameter(rng.normal(size=(4, 3)), F64)
+        off = nm.parameter(rng.normal(size=(4, 3)), F64)
+        mask = np.array([True, False, False, True])
+        out = nm.select_rows(mask, on, off)
+        np.testing.assert_array_equal(out.value, np.where(mask[:, None], on.value, off.value))
+        nm.backward(nm.sum_all(out))
+        np.testing.assert_array_equal(on.adjoint, np.repeat(mask[:, None], 3, axis=1) * 1.0)
+        np.testing.assert_array_equal(off.adjoint, np.repeat(~mask[:, None], 3, axis=1) * 1.0)

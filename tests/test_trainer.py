@@ -171,6 +171,34 @@ class TestTotalLoss:
             assert node2.item() < before
 
 
+def graph_size(root):
+    """Distinct nodes reachable from ``root`` through ``parents``."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_loss_graph_size_independent_of_batch(tiny_corpus):
+    catalog, features, graph, cf = tiny_corpus
+    cfg = small_config()
+    rng = np.random.default_rng(3)
+    model = tr.init_model(catalog.n_items, features.dim, cf, cfg, rng)
+    inputs = build_item_inputs(catalog, features, cf, graph, frozenset(range(60)), np.float32)
+    sizes = []
+    for batch in (4, 32):
+        views = [sample_partial(catalog.bundles[b % catalog.n_bundles], 0.5, rng, bundle_index=b)
+                 for b in range(batch)]
+        assert len({len(v.seeds) for v in views}) > 1
+        loss, _ = tr.total_loss(views, model, inputs, rng)
+        sizes.append(graph_size(loss))
+    assert sizes[0] == sizes[1] < 100, sizes
+
+
 class TestReductionEquivalence:
     def test_bit_identical_to_mean_pool_baseline(self, tiny_corpus):
         catalog, features, graph, cf = tiny_corpus
