@@ -57,13 +57,6 @@ DEFAULTS = {
         "use_item_cl": True,
         "use_bundle_cl": True,
     },
-    "eval": {
-        "k": 20,
-        "setting": "standard",
-        "rate": 0.0,
-        "repeats": 1,
-        "threads": 1,
-    },
 }
 
 

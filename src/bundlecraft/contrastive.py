@@ -13,14 +13,14 @@ ID (seed dropout, at least one seed survives) and IR (seed replacement
 with uniform non-members) at the bundle level.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numerics as nm
 from .corpus import perturb_seeds
 from .errors import IntegrityError, ShapeError
-from .item_encoder import N_SLOTS, ItemInputs
+from .item_encoder import N_SLOTS
 
 ITEM_MODES = ("NA", "FN", "FD", "MD")
 BUNDLE_MODES = ("ID", "IR")
@@ -40,14 +40,18 @@ class AugmentationConfig:
             raise IntegrityError(f"unknown item augmentation mode {self.item_mode!r}")
         if self.bundle_mode not in BUNDLE_MODES:
             raise IntegrityError(f"unknown bundle augmentation mode {self.bundle_mode!r}")
-        if not self.tau > 0:
-            raise IntegrityError(f"temperature must be positive, got {self.tau}")
+        if not 0 <= self.dropout_ratio <= 1:
+            raise IntegrityError(f"dropout_ratio must be in [0, 1], got {self.dropout_ratio}")
+        if not 0 <= self.noise_weight < np.inf:
+            raise IntegrityError(f"noise_weight must be finite and nonnegative, got {self.noise_weight}")
+        if not 0 < self.tau < np.inf:
+            raise IntegrityError(f"temperature tau must be finite and positive, got {self.tau}")
         if self.negatives not in ("batch", "full"):
             raise IntegrityError(f"negatives must be 'batch' or 'full', got {self.negatives!r}")
 
 
 def augment_inputs(inputs, mode, config, rng):
-    """Produce the augmented raw-input view of the whole catalog."""
+    """Produce the augmented raw-input view of every row of ``inputs``."""
     if mode == "NA":
         return inputs
     if mode == "FN":
@@ -55,23 +59,19 @@ def augment_inputs(inputs, mode, config, rng):
         content = inputs.content + w * rng.uniform(-1.0, 1.0, size=inputs.content.shape)
         feedback = inputs.feedback + w * rng.uniform(-1.0, 1.0, size=inputs.feedback.shape)
         feedback[~inputs.feedback_present] = 0.0
-        return ItemInputs(
+        return replace(
+            inputs,
             content=content.astype(inputs.content.dtype),
             feedback=feedback.astype(inputs.feedback.dtype),
-            feedback_present=inputs.feedback_present,
-            id_warm=inputs.id_warm,
-            forced_fallback=inputs.forced_fallback,
         )
     if mode == "FD":
         r = config.dropout_ratio
         keep_c = rng.random(inputs.content.shape) >= r
         keep_p = rng.random(inputs.feedback.shape) >= r
-        return ItemInputs(
+        return replace(
+            inputs,
             content=(inputs.content * keep_c).astype(inputs.content.dtype),
             feedback=(inputs.feedback * keep_p).astype(inputs.feedback.dtype),
-            feedback_present=inputs.feedback_present,
-            id_warm=inputs.id_warm,
-            forced_fallback=inputs.forced_fallback,
         )
     if mode == "MD":
         # independent per-item Bernoulli; a hit drops one uniformly chosen slot
@@ -81,13 +81,7 @@ def augment_inputs(inputs, mode, config, rng):
         forced[np.arange(inputs.n_items), slot] = hit
         if inputs.forced_fallback is not None:
             forced |= inputs.forced_fallback
-        return ItemInputs(
-            content=inputs.content,
-            feedback=inputs.feedback,
-            feedback_present=inputs.feedback_present,
-            id_warm=inputs.id_warm,
-            forced_fallback=forced,
-        )
+        return replace(inputs, forced_fallback=forced)
     raise IntegrityError(f"unknown item augmentation mode {mode!r}")
 
 

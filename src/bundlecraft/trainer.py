@@ -6,10 +6,15 @@ two contrastive terms and L2 over the trainable parameters:
 
     total = mean_b nll_b + alpha1 * cl_item + alpha2 * cl_bundle + beta * ||params||^2
 
-Item representations for the full scoring table are recomputed every batch
-so gradients stay exact. One epoch is one pass over the training bundles
-with freshly sampled seed/target splits. Validation NDCG@20 drives early
-stopping and best-checkpoint retention.
+The full scoring table of item representations is recomputed every batch
+so gradients stay exact. The augmented item view is encoded only on the
+rows the item-level InfoNCE reads: the batch's seed and target items with
+``negatives="batch"``, the whole catalog with ``"full"``. One epoch is one
+pass over the training bundles with freshly sampled seed/target splits.
+Validation NDCG@20 drives early stopping and best-checkpoint retention.
+The training log gets one JSON line per epoch; its ``seconds`` object
+splits the epoch's wall time into forward (``loss``), ``backward``,
+``adam`` and ``validate``.
 
 Checkpoint format: magic ``CLHE``, u32 LE version, u32 LE length-prefixed
 UTF-8 JSON header (config echo, epoch, metric snapshot, matrix manifest),
@@ -46,6 +51,7 @@ from .errors import (
 )
 from .evaluation import ndcg_at_k, rank_candidates, recall_at_k
 from .item_encoder import (
+    SLOT_FILLS,
     ItemEncoderParams,
     build_item_inputs,
     encode_item_table,
@@ -88,10 +94,24 @@ class TrainConfig:
     ablation: AblationFlags = field(default_factory=AblationFlags)
 
     def __post_init__(self):
-        if self.alpha1 < 0 or self.alpha2 < 0 or self.beta < 0:
-            raise ConfigError("loss weights must be nonnegative")
+        for name in ("alpha1", "alpha2", "beta"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"loss weight {name} must be finite and nonnegative, "
+                                  f"got {getattr(self, name)}")
         if self.precision not in nm.DTYPES:
             raise ConfigError(f"precision must be one of {sorted(nm.DTYPES)}")
+        if self.slot_fill not in SLOT_FILLS:
+            raise ConfigError(f"slot_fill must be one of {SLOT_FILLS}, got {self.slot_fill!r}")
+        if not self.d >= 1:
+            raise ConfigError(f"model d must be >= 1, got {self.d}")
+        for name in ("l_layers", "z_layers", "epochs"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.batch_size >= 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        # 0 is allowed: a zero-rate fit keeps the initial parameters
+        if not 0 <= self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and nonnegative, got {self.lr}")
 
 
 @dataclass
@@ -195,24 +215,22 @@ def total_loss(views, model, inputs, rng, all_views=None):
     parts = {"nll": loss.item(), "cl_item": 0.0, "cl_bundle": 0.0, "l2": 0.0}
 
     if ab.use_item_cl and cfg.alpha1 > 0:
+        # drawn for the whole catalog, so the rng stream does not hang on the batch
         aug_inputs = augment_inputs(inputs, cfg.augment.item_mode, cfg.augment, rng)
-        if cfg.augment.item_mode == "NA":
-            f_aug = f_table
+        if cfg.augment.negatives == "full":
+            anchor_idx = np.arange(inputs.n_items)
         else:
-            f_aug = encode_item_table(
+            anchor_idx = sorted(set().union(*(v.seeds | v.targets for v in views)))
+            aug_inputs = aug_inputs.take(anchor_idx)
+        anchors = nm.take_rows(f_table, anchor_idx)
+        if cfg.augment.item_mode == "NA":
+            positives = anchors
+        else:
+            positives = encode_item_table(
                 aug_inputs, model.item_params, cfg.slot_fill, ab.use_feedback,
                 ab.use_item_attention, dtype,
             )
-        if cfg.augment.negatives == "full":
-            anchor_idx = list(range(inputs.n_items))
-        else:
-            pool = set()
-            for v in views:
-                pool |= v.seeds | v.targets
-            anchor_idx = sorted(pool)
-        cl_item = info_nce(
-            nm.take_rows(f_table, anchor_idx), nm.take_rows(f_aug, anchor_idx), cfg.augment.tau
-        )
+        cl_item = info_nce(anchors, positives, cfg.augment.tau)
         parts["cl_item"] = cl_item.item()
         loss = nm.add(loss, nm.smul(cl_item, cfg.alpha1))
 
@@ -341,9 +359,11 @@ def fit(catalog, features, graph, cf, config, log_path=None):
             ]
             order = rng_train.permutation(len(epoch_views))
             sums = {"train_loss": 0.0, "nll": 0.0, "cl_item": 0.0, "cl_bundle": 0.0, "l2": 0.0}
+            phases = dict.fromkeys(("loss", "backward", "adam", "validate"), 0.0)
             n_batches = 0
             for start in range(0, len(order), config.batch_size):
                 batch = [epoch_views[i] for i in order[start : start + config.batch_size]]
+                t1 = time.perf_counter()
                 try:
                     loss, parts = total_loss(batch, model, inputs, rng_train, all_views=epoch_views)
                 except NonFiniteError as exc:
@@ -351,14 +371,22 @@ def fit(catalog, features, graph, cf, config, log_path=None):
                 value = loss.item()
                 if not np.isfinite(value):
                     raise DivergenceError(f"non-finite loss at epoch {epoch}")
+                t2 = time.perf_counter()
                 nm.backward(loss)
+                t3 = time.perf_counter()
                 opt.step()
+                t4 = time.perf_counter()
+                phases["loss"] += t2 - t1
+                phases["backward"] += t3 - t2
+                phases["adam"] += t4 - t3
                 sums["train_loss"] += value
                 for key in ("nll", "cl_item", "cl_bundle", "l2"):
                     sums[key] += parts[key]
                 n_batches += 1
 
+            t1 = time.perf_counter()
             val_recall, val_ndcg = _validate(model, inputs, val_views)
+            phases["validate"] = time.perf_counter() - t1
             entry = {
                 "epoch": epoch,
                 "train_loss": sums["train_loss"] / n_batches,
@@ -368,7 +396,7 @@ def fit(catalog, features, graph, cf, config, log_path=None):
                 "l2": sums["l2"] / n_batches,
                 "val_recall20": val_recall,
                 "val_ndcg20": val_ndcg,
-                "seconds": time.perf_counter() - t0,
+                "seconds": {"total": time.perf_counter() - t0, **phases},
             }
             history.append(entry)
             if log_fh:
@@ -376,7 +404,7 @@ def fit(catalog, features, graph, cf, config, log_path=None):
                 log_fh.flush()
             log.info(
                 "epoch %d loss=%.5f nll=%.5f val_ndcg20=%.4f (%.2fs)",
-                epoch, entry["train_loss"], entry["nll"], val_ndcg, entry["seconds"],
+                epoch, entry["train_loss"], entry["nll"], val_ndcg, entry["seconds"]["total"],
             )
 
             if not best["metrics"] or val_ndcg > best["metrics"]["val_ndcg20"]:
@@ -524,7 +552,7 @@ def load_checkpoint(path):
     try:
         config = config_from_dict(header["config"])
         cf_k_layers = int(header.get("cf_k_layers", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError, IntegrityError) as exc:
         raise CorpusFormatError(f"{path}: bad config or cf_k_layers in header: {exc!r}") from exc
     _check_manifest(path, config, header["matrices"], arrays)
     dtype = nm.DTYPES[config.precision]

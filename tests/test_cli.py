@@ -203,6 +203,21 @@ class TestTrainCommand:
         assert setting.split("=")[0] in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", [
+        "train.batch_size=0", "train.batch_size=-1", "model.d=0", "model.slot_fill=foo",
+        "model.l_layers=-1", "train.epochs=-1", "train.lr=-1", "augment.dropout_ratio=1.5",
+        "augment.dropout_ratio=-0.5", "augment.noise_weight=-1", "eval.k=5",
+    ])
+    def test_out_of_range_setting_exits_2(self, pipeline, tmp_path, setting):
+        _, _, data, cf, _ = pipeline
+        out = tmp_path / "m.ckpt"
+        proc = cli_subprocess("train", "--data", str(data), "--cf", str(cf), "--out", str(out),
+                              "--set", setting)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert setting.split("=")[0].split(".")[-1] in proc.stderr
+        assert not out.exists()
+
     def test_divergence_exits_3(self, pipeline, tmp_path):
         _, _, data, cf, _ = pipeline
         out = tmp_path / "m.ckpt"
@@ -410,6 +425,19 @@ class TestMalformedCheckpoint:
         lambda header: header.update(cf_k_layers="x"),
     ], ids=["matrices_not_a_list", "layer_count", "width", "cf_k_layers"])
     def test_header_disagreeing_with_payload_exits_2(self, pipeline, tmp_path, edit):
+        _, _, data, _, model = pipeline
+        err = self.complete_subprocess(data, self.edited(model, tmp_path, edit))
+        assert "config" in err
+
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: header["config"].update(batch_size=0),
+        lambda header: header["config"].update(d=0),
+        lambda header: header["config"].update(slot_fill="foo"),
+        lambda header: header["config"].update(lr=-1.0),
+        lambda header: header["config"]["augment"].update(dropout_ratio=1.5),
+    ], ids=["batch_size", "d", "slot_fill", "lr", "dropout_ratio"])
+    def test_header_config_out_of_range_exits_2(self, pipeline, tmp_path, edit):
         _, _, data, _, model = pipeline
         err = self.complete_subprocess(data, self.edited(model, tmp_path, edit))
         assert "config" in err

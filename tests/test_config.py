@@ -3,7 +3,7 @@ import json
 import pytest
 
 from bundlecraft.config import DEFAULTS, apply_set, load_config, train_config
-from bundlecraft.errors import ConfigError
+from bundlecraft.errors import ConfigError, IntegrityError
 
 
 def test_defaults_load_without_file():
@@ -69,3 +69,33 @@ def test_booleans_rejected_for_numbers():
             load_config(None, [assignment])
     with pytest.raises(ConfigError):
         apply_set(DEFAULTS, "ablation.use_item_cl=0.0")
+
+
+OUT_OF_RANGE = [
+    "train.batch_size=0", "train.batch_size=-1", "model.d=0", "model.slot_fill=foo",
+    "model.l_layers=-1", "model.z_layers=-1", "train.epochs=-1", "train.lr=-1", "train.lr=NaN",
+    "train.lr=Infinity", "train.alpha1=NaN", "augment.dropout_ratio=1.5",
+    "augment.dropout_ratio=-0.5", "augment.noise_weight=-1", "augment.tau=Infinity",
+]
+
+
+@pytest.mark.parametrize("assignment", OUT_OF_RANGE)
+def test_out_of_range_values_rejected(assignment):
+    cfg = load_config(None, [assignment])
+    with pytest.raises((ConfigError, IntegrityError), match=assignment.split("=")[0].split(".")[1]):
+        train_config(cfg)
+
+
+@pytest.mark.parametrize("assignment", [
+    "train.lr=0", "train.epochs=0", "model.l_layers=0", "model.z_layers=0", "train.batch_size=1",
+    "model.slot_fill=raw", "augment.dropout_ratio=0", "augment.dropout_ratio=1",
+    "augment.noise_weight=0",
+])
+def test_range_boundaries_accepted(assignment):
+    train_config(load_config(None, [assignment]))
+
+
+def test_no_eval_section():
+    assert "eval" not in DEFAULTS
+    with pytest.raises(ConfigError, match="eval"):
+        load_config(None, ["eval.k=5"])

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -301,3 +302,79 @@ class TestBatchedPath:
         np.testing.assert_allclose(slot_rows(inputs, params, 1)[ie.SLOT_ID], cp[1], atol=1e-12)
         np.testing.assert_allclose(
             slot_rows(inputs, params, 0)[ie.SLOT_ID], params.v.value[0], atol=1e-12)
+
+
+class TestRowRestriction:
+    """Encoding ``inputs.take(rows)`` against the full table as the oracle."""
+
+    @pytest.mark.parametrize("slot_fill", ["projected", "raw"])
+    @pytest.mark.parametrize("use_feedback", [True, False])
+    @pytest.mark.parametrize("use_attention", [True, False])
+    @pytest.mark.parametrize("augment", ["none", "forced", "MD", "FN", "FD"])
+    def test_subset_equals_rows_of_full_table(self, rng, slot_fill, use_feedback, use_attention,
+                                              augment):
+        from bundlecraft.contrastive import AugmentationConfig, augment_inputs
+
+        n, cfd = 13, (5 if slot_fill == "raw" else 3)
+        params = make_params(rng, n_items=n, feat_dim=5, cf_dim=cfd, layers=2)
+        inputs = random_inputs(rng, n, cfd=cfd, forced=augment == "forced")
+        if augment in ("MD", "FN", "FD"):
+            config = AugmentationConfig(item_mode=augment, dropout_ratio=0.5, noise_weight=0.3)
+            inputs = augment_inputs(inputs, augment, config, rng)
+        kw = dict(slot_fill=slot_fill, use_feedback=use_feedback, use_attention=use_attention,
+                  dtype=F64)
+        full = ie.encode_item_table(inputs, params, **kw)
+        for rows in ([0, 3, 4, 9, 12], [7], [11, 2, 2, 5], list(range(n))):
+            sub = ie.encode_item_table(inputs.take(rows), params, **kw)
+            want = nm.take_rows(full, rows).value
+            assert sub.shape == (len(rows), params.d)
+            np.testing.assert_allclose(sub.value, want, rtol=0, atol=1e-12)
+
+    def test_take_subsets_every_field(self, rng):
+        inputs = random_inputs(rng, 9, forced=True)
+        rows = np.array([8, 1, 4])
+        sub = inputs.take(rows)
+        for name in ("content", "feedback", "feedback_present", "id_warm", "forced_fallback"):
+            np.testing.assert_array_equal(getattr(sub, name), getattr(inputs, name)[rows])
+        np.testing.assert_array_equal(sub.rows, rows)
+        assert inputs.rows is None and inputs.take([]).n_items == 0
+
+    def test_take_composes_to_catalog_rows(self, rng):
+        params = make_params(rng, n_items=9, layers=1)
+        inputs = random_inputs(rng, 9)
+        outer = inputs.take([8, 6, 4, 2, 0])
+        inner = outer.take([1, 3])
+        np.testing.assert_array_equal(inner.rows, [6, 2])
+        np.testing.assert_allclose(
+            ie.encode_item_table(inner, params, dtype=F64).value,
+            ie.encode_item_table(inputs.take([6, 2]), params, dtype=F64).value, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [[-1], [9], [[0, 1]]])
+    def test_take_rejects_bad_rows(self, rng, rows):
+        with pytest.raises(ShapeError):
+            random_inputs(rng, 9).take(rows)
+
+    def test_subset_gradients_match_finite_differences(self, rng):
+        n, rows = 7, [5, 1, 3]
+        params = make_params(rng, n_items=n, layers=1)
+        inputs = random_inputs(rng, n, forced=True)
+        inputs = dataclasses.replace(inputs, id_warm=np.ones(n, dtype=bool))
+        weights = nm.constant(rng.normal(size=(len(rows), params.d)), F64)
+
+        def loss():
+            sub = ie.encode_item_table(inputs.take(rows), params, dtype=F64)
+            return nm.sum_all(nm.mul(sub, weights))
+
+        nm.backward(loss())
+        named = [
+            ("w_c", params.w_c), ("w_p", params.w_p), ("v", params.v),
+            ("wk", params.layers[0][0]), ("wq", params.layers[0][1]),
+        ]
+        for name, p in named:
+            num = numeric_grad(lambda: loss().item(), p.value, h=1e-6)
+            assert rel_err(p.adjoint, num) < 1e-4, name
+        off = np.setdiff1d(np.arange(n), rows)
+        assert (params.v.adjoint[off] == 0).all()
+        # id-warm rows that keep their id slot receive a gradient
+        kept = [r for i, r in enumerate(rows) if not inputs.forced_fallback[r, ie.SLOT_ID]]
+        assert kept and np.abs(params.v.adjoint[kept]).sum(axis=1).min() > 0

@@ -10,11 +10,11 @@ from bundlecraft import corpus as C
 from bundlecraft import trainer as tr
 from bundlecraft.cf_pretrain import CfEmbeddings, pretrain
 from bundlecraft.config import DEFAULTS, train_config
-from bundlecraft.contrastive import AugmentationConfig
+from bundlecraft.contrastive import augment_bundle, augment_inputs, info_nce
 from bundlecraft.corpus import PartialBundleView, sample_partial, warm_items
 from bundlecraft.errors import CorpusFormatError, DivergenceError, IntegrityError
 from bundlecraft.evaluation import make_scorer
-from bundlecraft.item_encoder import ItemInputs, build_item_inputs
+from bundlecraft.item_encoder import ItemInputs, build_item_inputs, encode_item_table
 from bundlecraft.synth import SynthSpec, generate
 
 F64 = np.float64
@@ -277,6 +277,11 @@ class TestFit:
             "epoch", "train_loss", "nll", "cl_item", "cl_bundle", "l2",
             "val_recall20", "val_ndcg20", "seconds",
         }
+        seconds = entry["seconds"]
+        assert set(seconds) == {"total", "loss", "backward", "adam", "validate"}
+        assert all(v >= 0 for v in seconds.values())
+        parts = seconds["loss"] + seconds["backward"] + seconds["adam"] + seconds["validate"]
+        assert parts <= seconds["total"]
 
 
 class TestCheckpoint:
@@ -354,3 +359,93 @@ def test_ablation_flags_zero_terms(rng):
     _, parts = tr.total_loss(views, model, inputs, np.random.default_rng(2))
     assert parts["cl_item"] == 0.0
     assert parts["cl_bundle"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# augmented item view: restricted encode against the full-catalog oracle
+# ---------------------------------------------------------------------------
+
+def full_aug_total_loss_oracle(views, model, inputs, rng, all_views=None):
+    """``total_loss`` as it was when the augmented item view was encoded for
+    the whole catalog and then cut to the anchor rows."""
+    cfg, ab = model.config, model.config.ablation
+    dtype = nm.DTYPES[cfg.precision]
+    f_table = encode_item_table(
+        inputs, model.item_params, cfg.slot_fill, ab.use_feedback, ab.use_item_attention, dtype)
+    e_batch = tr._encode_views(views, f_table, model.bundle_params, ab.use_bundle_attention)
+    loss = tr._batch_nll(tr.score(e_batch, f_table), [v.targets for v in views])
+    aug_inputs = augment_inputs(inputs, cfg.augment.item_mode, cfg.augment, rng)
+    if cfg.augment.item_mode == "NA":
+        f_aug = f_table
+    else:
+        f_aug = encode_item_table(aug_inputs, model.item_params, cfg.slot_fill, ab.use_feedback,
+                                  ab.use_item_attention, dtype)
+    if cfg.augment.negatives == "full":
+        anchor_idx = list(range(inputs.n_items))
+    else:
+        anchor_idx = sorted(set().union(*(v.seeds | v.targets for v in views)))
+    cl_item = info_nce(nm.take_rows(f_table, anchor_idx), nm.take_rows(f_aug, anchor_idx),
+                       cfg.augment.tau)
+    loss = nm.add(loss, nm.smul(cl_item, cfg.alpha1))
+    pool_views = list(all_views) if (cfg.augment.negatives == "full" and all_views) else views
+    e_pool = (e_batch if pool_views is views else
+              tr._encode_views(pool_views, f_table, model.bundle_params, ab.use_bundle_attention))
+    aug_views = [augment_bundle(v, cfg.augment.bundle_mode, cfg.augment, rng, inputs.n_items)
+                 for v in pool_views]
+    e_aug = tr._encode_views(aug_views, f_table, model.bundle_params, ab.use_bundle_attention)
+    loss = nm.add(loss, nm.smul(info_nce(e_pool, e_aug, cfg.augment.tau), cfg.alpha2))
+    l2 = None
+    for p in model.trainables():
+        term = nm.sum_all(nm.mul(p, p))
+        l2 = term if l2 is None else nm.add(l2, term)
+    return nm.add(loss, nm.smul(l2, cfg.beta))
+
+
+def sparse_anchor_setup(rng, **kw):
+    """A 12-item catalog whose batch touches only items 0-6."""
+    n, feat, cfd = 12, 6, 3
+    cfgd = copy.deepcopy(DEFAULTS)
+    cfgd["precision"] = "f64"
+    cfgd["model"]["d"] = 4
+    cfgd["train"].update({"alpha1": 0.3, "alpha2": 0.2, "beta": 1e-3})
+    cfgd["augment"].update({"dropout_ratio": 0.5, "noise_weight": 0.2, "tau": 0.7})
+    for key, value in kw.items():
+        section, name = key.split(".")
+        cfgd[section][name] = value
+    present = rng.random(n) > 0.3
+    inputs = ItemInputs(
+        content=rng.normal(size=(n, feat)),
+        feedback=np.where(present[:, None], rng.normal(size=(n, cfd)), 0.0),
+        feedback_present=present,
+        id_warm=rng.random(n) > 0.2,
+    )
+    cf = CfEmbeddings(user_table=np.zeros((2, cfd), np.float32),
+                      item_table=rng.normal(size=(n, cfd)).astype(np.float32), k_layers=1)
+    views = [
+        PartialBundleView(0, frozenset({0, 1}), frozenset({2})),
+        PartialBundleView(1, frozenset({3, 5, 6}), frozenset({4, 0})),
+        PartialBundleView(2, frozenset({6}), frozenset({1, 5})),
+    ]
+    model = tr.init_model(n, feat, cf, train_config(cfgd), rng)
+    return model, inputs, views
+
+
+@pytest.mark.parametrize("item_mode", ["MD", "FN", "FD", "NA"])
+@pytest.mark.parametrize("negatives", ["batch", "full"])
+def test_restricted_augmented_view_matches_full_catalog_oracle(item_mode, negatives):
+    model, inputs, views = sparse_anchor_setup(
+        np.random.default_rng(31), **{"augment.item_mode": item_mode,
+                                      "augment.negatives": negatives})
+    results = []
+    for fn in (full_aug_total_loss_oracle, lambda *a, **k: tr.total_loss(*a, **k)[0]):
+        rng = np.random.default_rng(77)
+        loss = fn(views, model, inputs, rng, all_views=views)
+        nm.backward(loss)
+        results.append((loss.item(), {name: p.adjoint.copy() for name, p in
+                                      model.named_trainables()}, rng.bit_generator.state))
+        nm.zero_adjoints(model.trainables())
+    (want_loss, want_grads, want_state), (got_loss, got_grads, got_state) = results
+    assert got_loss == pytest.approx(want_loss, rel=1e-12)
+    for name, grad in want_grads.items():
+        np.testing.assert_allclose(got_grads[name], grad, rtol=1e-9, atol=1e-13, err_msg=name)
+    assert got_state == want_state
