@@ -39,22 +39,32 @@ def gather_members(table, seed_sets):
     """Gather the seed rows of G bundles from an item ``table`` node.
 
     Returns the member-major (S*G) x d rows, S being the largest seed set,
-    and the S x G mask of real members; padded slots repeat item 0.
+    and the S x G mask of real members, padded slots repeating item 0. The
+    mask is None when no set is padded.
     """
     seeds = [sorted(s) for s in seed_sets]
-    size = max(len(s) for s in seeds)
-    idx = np.zeros((size, len(seeds)), dtype=np.int64)
-    mask = np.zeros((size, len(seeds)), dtype=bool)
-    for g, items in enumerate(seeds):
-        idx[: len(items), g] = items
-        mask[: len(items), g] = True
+    size = max(map(len, seeds))
+    if all(len(s) == size for s in seeds):
+        idx = np.array(seeds, dtype=np.int64).T
+        mask = None
+    else:
+        idx = np.zeros((size, len(seeds)), dtype=np.int64)
+        mask = np.zeros((size, len(seeds)), dtype=bool)
+        for g, items in enumerate(seeds):
+            idx[: len(items), g] = items
+            mask[: len(items), g] = True
     return nm.take_rows(table, idx.reshape(-1)), mask
 
 
-def encode_bundle(member_rows, params, use_attention=True, mask=None):
+def encode_bundle(member_rows, params, use_attention=True, groups=1, mask=None):
     """Bundle representations, one row per set: the mean of the attended
-    member rows. Without a mask ``member_rows`` is a single bundle."""
-    groups = 1 if mask is None else mask.shape[1]
+    member rows of each of the ``groups`` member-major sets."""
     if use_attention:
         member_rows = attend(member_rows, params.layers, groups, mask)
     return nm.group_mean(member_rows, groups, mask)
+
+
+def encode_sets(table, seed_sets, params, use_attention=True):
+    """One row per seed set: the sets' rows of ``table`` encoded as one padded batch."""
+    rows, mask = gather_members(table, seed_sets)
+    return encode_bundle(rows, params, use_attention, len(seed_sets), mask)

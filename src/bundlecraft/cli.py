@@ -26,7 +26,7 @@ from .errors import (
     NonFiniteError,
     SynthSpecError,
 )
-from .evaluation import evaluate, explain, make_scorer
+from .evaluation import evaluate, explain, make_scorer, make_set_scorer, rank_candidates
 from .trainer import fit, load_checkpoint, save_checkpoint
 
 log = logging.getLogger("bundlecraft")
@@ -102,7 +102,6 @@ def build_parser():
     p.add_argument("--rate", type=float, default=0.0, help="corruption rate for sparsify/noisify")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--eval-repeats", type=int, default=1, dest="repeats")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--k", type=int, default=20)
     p.set_defaults(func=cmd_eval)
 
@@ -207,49 +206,33 @@ def _load_model_context(model_path, data_dir):
 
 
 def cmd_eval(args):
+    if args.repeats < 1:
+        raise ConfigError(f"--eval-repeats must be >= 1, got {args.repeats}")
     catalog, _, _, model, split, warm, inputs = _load_model_context(args.model, args.data)
     _, _, test_idx = split
     rng = eval_rng(model.config.seed)
-    scorer = make_scorer(model, inputs)
+    score_sets = make_set_scorer(model, inputs)
 
-    all_records = []
-    sums = {"recall": 0.0, "ndcg": 0.0}
-    n_reports = 0
-    tag = None
-    for _ in range(max(1, args.repeats)):
+    reports = []
+    for _ in range(args.repeats):
         views = [
             corpus_mod.sample_partial(
                 catalog.bundles[b], model.config.eval_seed_ratio, rng, bundle_index=b
             )
             for b in test_idx
         ]
-        report = evaluate(
-            scorer,
-            views,
-            k=args.k,
-            setting=args.setting,
-            rate=args.rate,
-            rng=rng,
-            n_items=catalog.n_items,
-            warm=warm,
-            threads=args.threads,
-        )
-        tag = report.setting
-        if report.empty:
-            continue
-        all_records.extend(report.per_bundle)
-        sums["recall"] += report.recall
-        sums["ndcg"] += report.ndcg
-        n_reports += 1
+        reports.append(evaluate(score_sets, views, k=args.k, setting=args.setting, rate=args.rate,
+                                rng=rng, n_items=catalog.n_items, warm=warm))
 
-    all_records.sort(key=lambda r: r["bundle"])
+    kept = [r for r in reports if not r.empty]
+    records = sorted((rec for r in kept for rec in r.per_bundle), key=lambda rec: rec["bundle"])
     payload = {
-        "setting": tag,
+        "setting": reports[-1].setting,
         "k": args.k,
-        "recall": sums["recall"] / n_reports if n_reports else None,
-        "ndcg": sums["ndcg"] / n_reports if n_reports else None,
-        "n_bundles": len(all_records),
-        "per_bundle": all_records,
+        "recall": sum(r.recall for r in kept) / len(kept) if kept else None,
+        "ndcg": sum(r.ndcg for r in kept) / len(kept) if kept else None,
+        "n_bundles": len(records),
+        "per_bundle": records,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -275,8 +258,6 @@ def cmd_complete(args):
     seed_idx = [catalog.item_index[t] for t in seen]
     scorer = make_scorer(model, inputs)
     scores = scorer(sorted(seed_idx))
-    from .evaluation import rank_candidates
-
     ranked = rank_candidates(scores, set(seed_idx), args.k)
     for i in ranked:
         print(f"{catalog.item_tokens[i]}\t{scores[i]:.6f}")

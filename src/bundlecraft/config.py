@@ -118,6 +118,8 @@ def load_config(path=None, sets=()):
         config = _merge(config, data)
     for assignment in sets:
         config = apply_set(config, assignment)
+    if config["seed"] < 0:
+        raise ConfigError(f"'seed' must be a nonnegative integer, got {config['seed']}")
     return config
 
 

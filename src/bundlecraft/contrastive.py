@@ -28,12 +28,12 @@ BUNDLE_MODES = ("ID", "IR")
 
 @dataclass(frozen=True)
 class AugmentationConfig:
-    item_mode: str = "MD"
-    bundle_mode: str = "ID"
-    dropout_ratio: float = 0.2
-    noise_weight: float = 0.05
-    tau: float = 0.5
-    negatives: str = "batch"  # or "full"
+    item_mode: str
+    bundle_mode: str
+    dropout_ratio: float
+    noise_weight: float
+    tau: float
+    negatives: str  # "batch" or "full"
 
     def __post_init__(self):
         if self.item_mode not in ITEM_MODES:

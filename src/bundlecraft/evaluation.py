@@ -1,5 +1,7 @@
-"""Ranking metrics, evaluation protocols and the similarity explainer.
+"""Ranking metrics, evaluation protocols, the set scorer and the explainer.
 
+A model scores seed sets on one batched path: :func:`make_set_scorer`
+chunks many sets through it and :func:`make_scorer` scores a batch of one.
 Metrics use binary relevance. Seeds that the encoder actually saw
 (post-corruption, for the sparsify/noisify settings) are excluded from the
 candidate pool: the task is completion, not re-retrieval. The warm setting
@@ -8,18 +10,21 @@ seen in at least one training bundle.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics as nm
-from .bundle_encoder import encode_bundle
+from .bundle_encoder import encode_sets
 from .corpus import corrupt_partial
 from .errors import IntegrityError
 from .item_encoder import attend, encode_item_table, item_slots
 
 SETTINGS = ("standard", "warm", "sparsify", "noisify")
+
+# score elements per batch of seed sets (4 MiB of float32): scoring many sets
+# holds one batch's score rows at a time
+SCORE_CHUNK = 1 << 20
 
 
 def rank_candidates(scores, excluded, k):
@@ -86,9 +91,10 @@ class EvalReport:
         return self.n_bundles == 0
 
 
-def evaluate(scorer, views, k, setting="standard", rate=0.0, rng=None, n_items=None,
-             warm=None, threads=1):
-    """Score every view with ``scorer(sorted_seed_indices) -> N scores``.
+def evaluate(score_sets, views, k, setting="standard", rate=0.0, rng=None, n_items=None,
+             warm=None):
+    """Score every view with a set scorer, ``score_sets(sorted_seed_lists)``
+    yielding one row of N scores per list (see :func:`make_set_scorer`).
 
     ``setting`` selects the protocol; sparsify/noisify corrupt the seed set
     first (``rng`` and ``n_items`` required), warm filters views through the
@@ -110,25 +116,18 @@ def evaluate(scorer, views, k, setting="standard", rate=0.0, rng=None, n_items=N
     if not views:
         return EvalReport(setting=tag, k=k, recall=None, ndcg=None, n_bundles=0)
 
-    def one(view):
-        seeds = sorted(view.seeds)
-        scores = scorer(seeds)
+    seed_lists = [sorted(v.seeds) for v in views]
+    records = []
+    for view, seeds, scores in zip(views, seed_lists, score_sets(seed_lists), strict=True):
         ranked = rank_candidates(scores, view.seeds, k)
-        hits = [i for i in ranked if i in view.targets]
-        return {
+        records.append({
             "bundle": view.bundle_index,
             "seeds": seeds,
             "targets": sorted(view.targets),
-            "hits": hits,
+            "hits": [i for i in ranked if i in view.targets],
             "recall": recall_at_k(ranked, view.targets, k),
             "ndcg": ndcg_at_k(ranked, view.targets, k),
-        }
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, views))
-    else:
-        records = [one(v) for v in views]
+        })
     records.sort(key=lambda r: r["bundle"])
     recall = sum(r["recall"] for r in records) / len(records)
     ndcg = sum(r["ndcg"] for r in records) / len(records)
@@ -138,34 +137,51 @@ def evaluate(scorer, views, k, setting="standard", rate=0.0, rng=None, n_items=N
 
 
 # ---------------------------------------------------------------------------
-# model-backed scorer and explainer
+# model-backed scorers and explainer
 # ---------------------------------------------------------------------------
 
-def item_table_values(model, inputs):
-    """Encode the whole catalog once, forward only; returns an N x d array."""
+def _batch_scorer(model, inputs):
+    """Encode the catalog once, forward only. Returns N and
+    ``score_batch(sorted_seed_lists)``: the G x N scores of G seed lists,
+    encoded as one padded batch and scored by one GEMM."""
     cfg = model.config
-    node = encode_item_table(
-        inputs,
-        model.item_params,
-        slot_fill=cfg.slot_fill,
-        use_feedback=cfg.ablation.use_feedback,
-        use_attention=cfg.ablation.use_item_attention,
-        dtype=nm.DTYPES[cfg.precision],
-    )
-    return node.value
+    dtype = nm.DTYPES[cfg.precision]
+    table = encode_item_table(inputs, model.item_params, cfg.slot_fill, cfg.ablation.use_feedback,
+                              cfg.ablation.use_item_attention, dtype).value
+    # a constant leaf, so the sets' gather keeps no catalog graph alive
+    table_node = nm.constant(table, dtype)
+    table_t = np.ascontiguousarray(table.T)
+    params, attention = model.bundle_params, cfg.ablation.use_bundle_attention
+
+    def score_batch(seed_lists):
+        return encode_sets(table_node, seed_lists, params, attention).value @ table_t
+
+    return table.shape[0], score_batch
+
+
+def make_set_scorer(model, inputs):
+    """Set scorer of a model: ``score_sets(sorted_seed_lists)`` yields one row
+    of N catalog scores per seed list, in order. Lists are scored
+    ``SCORE_CHUNK // N`` at a time, so memory does not grow with their number.
+    """
+    n, score_batch = _batch_scorer(model, inputs)
+    step = max(1, SCORE_CHUNK // n)
+
+    def score_sets(seed_lists):
+        for start in range(0, len(seed_lists), step):
+            yield from score_batch(seed_lists[start : start + step])
+
+    return score_sets
 
 
 def make_scorer(model, inputs):
-    """Closure scoring all catalog items for a seed set (read-only, thread-safe)."""
-    cfg = model.config
-    dtype = nm.DTYPES[cfg.precision]
-    table = item_table_values(model, inputs)
-    table_t = np.ascontiguousarray(table.T)
+    """Closure scoring all catalog items for one seed set:
+    ``scorer(sorted_seed_idx) -> N scores``, a batch of one on the set
+    scorer's path."""
+    _, score_batch = _batch_scorer(model, inputs)
 
     def scorer(seed_idx):
-        rows = nm.constant(table[np.asarray(seed_idx, dtype=np.int64)], dtype)
-        e = encode_bundle(rows, model.bundle_params, use_attention=cfg.ablation.use_bundle_attention)
-        return (e.value @ table_t)[0]
+        return score_batch([seed_idx])[0]
 
     return scorer
 

@@ -311,8 +311,12 @@ def take_rows(a, idx):
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("take_rows: index must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"take_rows: index out of range for {a.shape[0]} rows")
+    if idx.size and idx.min() < 0:
+        raise ShapeError(f"take_rows: negative index for {a.shape[0]} rows")
+    try:
+        value = a.value[idx]
+    except IndexError as exc:  # an index past the end
+        raise ShapeError(f"take_rows: index out of range for {a.shape[0]} rows") from exc
 
     def rule(g):
         if not a.requires_grad:
@@ -321,7 +325,7 @@ def take_rows(a, idx):
             a.adjoint = np.zeros_like(a.value)
         np.add.at(a.adjoint, idx, g)
 
-    return _make(a.value[idx].copy(), (a,), rule, "take_rows")
+    return _make(value, (a,), rule, "take_rows")
 
 
 def take_diag(a):

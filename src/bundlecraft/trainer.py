@@ -27,17 +27,12 @@ import json
 import logging
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .bundle_encoder import (
-    BundleEncoderParams,
-    encode_bundle,
-    gather_members,
-    init_bundle_params,
-)
+from .bundle_encoder import BundleEncoderParams, encode_sets, init_bundle_params
 from .cf_pretrain import CfEmbeddings
 from .contrastive import AugmentationConfig, augment_bundle, augment_inputs, info_nce
 from .corpus import sample_partial, split_bundles, warm_items
@@ -49,7 +44,7 @@ from .errors import (
     NonFiniteError,
     ShapeError,
 )
-from .evaluation import ndcg_at_k, rank_candidates, recall_at_k
+from .evaluation import evaluate, make_set_scorer
 from .item_encoder import (
     SLOT_FILLS,
     ItemEncoderParams,
@@ -66,32 +61,32 @@ CKPT_VERSION = 1
 
 @dataclass(frozen=True)
 class AblationFlags:
-    use_feedback: bool = True
-    use_item_attention: bool = True
-    use_bundle_attention: bool = True
-    use_item_cl: bool = True
-    use_bundle_cl: bool = True
+    use_feedback: bool
+    use_item_attention: bool
+    use_bundle_attention: bool
+    use_item_cl: bool
+    use_bundle_cl: bool
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    d: int = 64
-    l_layers: int = 1
-    z_layers: int = 1
-    lr: float = 1e-3
-    batch_size: int = 2048
-    epochs: int = 100
-    alpha1: float = 0.5
-    alpha2: float = 0.5
-    beta: float = 1e-5
-    train_seed_ratio: float = 0.5
-    eval_seed_ratio: float = 0.5
-    slot_fill: str = "projected"
-    precision: str = "f32"
-    patience: int = 10
-    seed: int = 0
-    augment: AugmentationConfig = field(default_factory=AugmentationConfig)
-    ablation: AblationFlags = field(default_factory=AblationFlags)
+    d: int
+    l_layers: int
+    z_layers: int
+    lr: float
+    batch_size: int
+    epochs: int
+    alpha1: float
+    alpha2: float
+    beta: float
+    train_seed_ratio: float
+    eval_seed_ratio: float
+    slot_fill: str
+    precision: str
+    patience: int
+    seed: int
+    augment: AugmentationConfig
+    ablation: AblationFlags
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "beta"):
@@ -104,7 +99,7 @@ class TrainConfig:
             raise ConfigError(f"slot_fill must be one of {SLOT_FILLS}, got {self.slot_fill!r}")
         if not self.d >= 1:
             raise ConfigError(f"model d must be >= 1, got {self.d}")
-        for name in ("l_layers", "z_layers", "epochs"):
+        for name in ("l_layers", "z_layers", "epochs", "patience"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.batch_size >= 1:
@@ -164,33 +159,22 @@ def score(e_b, item_table):
     return nm.matmul(e_b, nm.transpose(item_table))
 
 
-def nll_loss(scores, targets):
-    """(1/N) sum over targets of -log softmax(scores); ``scores`` is 1 x N."""
-    if not targets:
-        raise IntegrityError("nll_loss: empty target set")
-    n = scores.shape[1]
-    if any(t < 0 or t >= n for t in targets):
-        raise IntegrityError("nll_loss: target outside the catalog")
-    mask = np.zeros((1, n), dtype=scores.dtype)
-    mask[0, sorted(targets)] = 1.0
-    picked = nm.mul(nm.log_softmax_rows(scores), nm.constant(mask, scores.dtype))
-    return nm.smul(nm.sum_all(picked), -1.0 / n)
-
-
-def _batch_nll(scores, target_sets):
-    """Mean of per-bundle nll over a B x N score matrix."""
+def nll_loss(scores, target_sets):
+    """Mean over the B rows of a B x N score matrix of (1/N) times the sum of
+    -log softmax(row) over that row's targets."""
     b, n = scores.shape
+    if len(target_sets) != b:
+        raise ShapeError(f"nll_loss: {len(target_sets)} target sets for {b} score rows")
     mask = np.zeros((b, n), dtype=scores.dtype)
     for r, targets in enumerate(target_sets):
-        mask[r, sorted(targets)] = 1.0
+        idx = sorted(targets)
+        if not idx:
+            raise IntegrityError("nll_loss: empty target set")
+        if idx[0] < 0 or idx[-1] >= n:
+            raise IntegrityError("nll_loss: target outside the catalog")
+        mask[r, idx] = 1.0
     picked = nm.mul(nm.log_softmax_rows(scores), nm.constant(mask, scores.dtype))
     return nm.smul(nm.sum_all(picked), -1.0 / (b * n))
-
-
-def _encode_views(views, f_table, bundle_params, use_attention):
-    """One row per view: all views' seed sets encoded as one padded batch."""
-    rows, mask = gather_members(f_table, [view.seeds for view in views])
-    return encode_bundle(rows, bundle_params, use_attention, mask)
 
 
 def total_loss(views, model, inputs, rng, all_views=None):
@@ -209,9 +193,13 @@ def total_loss(views, model, inputs, rng, all_views=None):
     f_table = encode_item_table(
         inputs, model.item_params, cfg.slot_fill, ab.use_feedback, ab.use_item_attention, dtype
     )
-    e_batch = _encode_views(views, f_table, model.bundle_params, ab.use_bundle_attention)
-    scores = score(e_batch, f_table)
-    loss = _batch_nll(scores, [v.targets for v in views])
+
+    def encode(vs):
+        return encode_sets(f_table, [v.seeds for v in vs], model.bundle_params,
+                           ab.use_bundle_attention)
+
+    e_batch = encode(views)
+    loss = nll_loss(score(e_batch, f_table), [v.targets for v in views])
     parts = {"nll": loss.item(), "cl_item": 0.0, "cl_bundle": 0.0, "l2": 0.0}
 
     if ab.use_item_cl and cfg.alpha1 > 0:
@@ -236,16 +224,12 @@ def total_loss(views, model, inputs, rng, all_views=None):
 
     if ab.use_bundle_cl and cfg.alpha2 > 0:
         pool_views = list(all_views) if (cfg.augment.negatives == "full" and all_views) else views
-        e_pool = (
-            e_batch
-            if pool_views is views
-            else _encode_views(pool_views, f_table, model.bundle_params, ab.use_bundle_attention)
-        )
+        e_pool = e_batch if pool_views is views else encode(pool_views)
         aug_views = [
             augment_bundle(v, cfg.augment.bundle_mode, cfg.augment, rng, inputs.n_items)
             for v in pool_views
         ]
-        e_aug = _encode_views(aug_views, f_table, model.bundle_params, ab.use_bundle_attention)
+        e_aug = encode(aug_views)
         cl_bundle = info_nce(e_pool, e_aug, cfg.augment.tau)
         parts["cl_bundle"] = cl_bundle.item()
         loss = nm.add(loss, nm.smul(cl_bundle, cfg.alpha2))
@@ -307,18 +291,11 @@ class TrainResult:
 
 
 def _validate(model, inputs, val_views, k=20):
-    from .evaluation import make_scorer
-
-    scorer = make_scorer(model, inputs)
-    recalls, ndcgs = [], []
-    for view in val_views:
-        scores = scorer(sorted(view.seeds))
-        ranked = rank_candidates(scores, view.seeds, k)
-        recalls.append(recall_at_k(ranked, view.targets, k))
-        ndcgs.append(ndcg_at_k(ranked, view.targets, k))
-    if not recalls:
+    """Recall@k and NDCG@k over the validation views; zeros without views."""
+    report = evaluate(make_set_scorer(model, inputs), val_views, k)
+    if report.empty:
         return 0.0, 0.0
-    return float(np.mean(recalls)), float(np.mean(ndcgs))
+    return report.recall, report.ndcg
 
 
 def fit(catalog, features, graph, cf, config, log_path=None):
@@ -437,14 +414,15 @@ def fit(catalog, features, graph, cf, config, log_path=None):
 # checkpoint io
 # ---------------------------------------------------------------------------
 
-def config_to_dict(config):
-    return asdict(config)
-
-
 def config_from_dict(data):
-    data = dict(data)
-    aug = AugmentationConfig(**data.pop("augment"))
-    ab = AblationFlags(**data.pop("ablation"))
+    """Rebuild a :class:`TrainConfig` from a checkpoint header's config echo.
+    Fields the echo leaves out take the run defaults, ``config.DEFAULTS``."""
+    from .config import DEFAULTS, train_config  # config imports this module
+
+    base = asdict(train_config(DEFAULTS))
+    data = {**base, **data}
+    aug = AugmentationConfig(**{**base["augment"], **data.pop("augment")})
+    ab = AblationFlags(**{**base["ablation"], **data.pop("ablation")})
     return TrainConfig(augment=aug, ablation=ab, **data)
 
 
@@ -453,7 +431,7 @@ def save_checkpoint(path, model, epoch=0, metrics=None):
     matrices = [(name, node.value) for name, node in named]
     matrices.append(("cf_item_table", model.cf.item_table))
     header = {
-        "config": config_to_dict(model.config),
+        "config": asdict(model.config),
         "epoch": epoch,
         "metrics": metrics or {},
         "matrices": [name for name, _ in matrices],

@@ -25,7 +25,7 @@ from bundlecraft.cli import main as cli_main
 from bundlecraft.config import DEFAULTS, train_config
 from bundlecraft.contrastive import info_nce
 from bundlecraft.corpus import PartialBundleView, sample_partial, warm_items
-from bundlecraft.evaluation import evaluate, make_scorer, ndcg_at_k, rank_candidates, recall_at_k
+from bundlecraft.evaluation import evaluate, make_scorer, make_set_scorer, ndcg_at_k, recall_at_k
 from bundlecraft.item_encoder import ItemInputs, build_item_inputs
 from bundlecraft.synth import SynthSpec, generate
 from bundlecraft.trainer import fit, nll_loss, total_loss
@@ -89,7 +89,7 @@ def _train_and_score(spec, seed, overrides, tmp, settings):
     result = fit(catalog, features, graph, cf, cfg)
     warm = warm_items(catalog, result.split[0])
     inputs = build_item_inputs(catalog, features, cf, graph, warm, np.float32)
-    scorer = make_scorer(result.model, inputs)
+    score_sets = make_set_scorer(result.model, inputs)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])
     metrics = {key: [] for key in settings}
     for _ in range(3):
@@ -99,7 +99,7 @@ def _train_and_score(spec, seed, overrides, tmp, settings):
         ]
         for key in settings:
             setting, rate = key
-            rep = evaluate(scorer, views, k=20, setting=setting, rate=rate, rng=rng,
+            rep = evaluate(score_sets, views, k=20, setting=setting, rate=rate, rng=rng,
                            n_items=catalog.n_items, warm=warm)
             metrics[key].append((rep.recall, rep.ndcg) if not rep.empty else (np.nan, np.nan))
     return {
@@ -220,6 +220,7 @@ def test_criterion_02_propagation_oracle():
 
 def test_criterion_03_loss_oracles():
     from test_contrastive import info_nce_oracle
+    from test_trainer import nll_oracle
 
     rng = np.random.default_rng(99)
     worst = 0.0
@@ -235,12 +236,8 @@ def test_criterion_03_loss_oracles():
         n = int(rng.integers(2, 30))
         scores = rng.normal(size=(1, n))
         targets = set(int(x) for x in rng.choice(n, size=int(rng.integers(1, n)), replace=False))
-        got = nll_loss(nm.constant(scores, np.float64), targets).item()
-        logits = scores[0]
-        probs = np.exp(logits - logits.max())
-        probs /= probs.sum()
-        want = sum(-math.log(probs[t]) for t in targets) / n
-        worst = max(worst, abs(got - want))
+        got = nll_loss(nm.constant(scores, np.float64), [targets]).item()
+        worst = max(worst, abs(got - nll_oracle(scores[0], targets)))
 
     v = rng.normal(size=(1, 6))
     anchors = nm.vconcat([nm.constant(v, np.float64)] * 9)

@@ -84,20 +84,33 @@ def test_gradients_match_finite_differences(rng):
 class TestBatchedViews:
     SETS = [{1, 2, 3}, {4}, {5, 6}, {7, 8, 9, 0}, {2, 9}]
 
-    def test_batch_matches_one_at_a_time(self, rng):
+    def check_batch(self, rng, sets):
+        """Batch rows against the one-set encoder and the attention oracle."""
         from test_item_encoder import encode_set_oracle
 
         params = make_params(rng, layers=2)
         table = rng.normal(size=(10, 4))
-        rows, mask = be.gather_members(nm.constant(table, F64), self.SETS)
-        assert rows.shape == (4 * len(self.SETS), 4) and mask.sum() == 12
-        e = be.encode_bundle(rows, params, mask=mask).value
+        rows, mask = be.gather_members(nm.constant(table, F64), sets)
+        sizes = [len(s) for s in sets]
+        assert rows.shape == (max(sizes) * len(sets), 4)
+        e = be.encode_bundle(rows, params, groups=len(sets), mask=mask).value
+        np.testing.assert_array_equal(e, be.encode_sets(nm.constant(table, F64), sets,
+                                                         params).value)
         layers = [(wk.value, wq.value) for wk, wq in params.layers]
-        for g, items in enumerate(self.SETS):
+        for g, items in enumerate(sets):
             want = encode_set_oracle(table[sorted(items)], layers)
             np.testing.assert_allclose(e[g], want, atol=1e-10)
             single = be.encode_bundle(nm.constant(table[sorted(items)], F64), params).value
             np.testing.assert_allclose(e[g], single[0], atol=1e-12)
+        return mask
+
+    def test_batch_matches_one_at_a_time(self, rng):
+        mask = self.check_batch(rng, self.SETS)
+        assert mask.sum(axis=0).tolist() == [len(s) for s in self.SETS]
+
+    def test_unpadded_batch_has_no_mask(self, rng):
+        for sets in ([{1, 2, 3}, {0, 4, 9}, {5, 7, 8}], [{3, 1}], [{6}, {2}]):
+            assert self.check_batch(rng, sets) is None
 
     def test_batch_gradients_match_finite_differences(self, rng):
         params = make_params(rng, layers=1)
@@ -106,7 +119,8 @@ class TestBatchedViews:
 
         def loss():
             rows, mask = be.gather_members(table, self.SETS)
-            return nm.sum_all(nm.mul(be.encode_bundle(rows, params, mask=mask), weights))
+            e = be.encode_bundle(rows, params, groups=len(self.SETS), mask=mask)
+            return nm.sum_all(nm.mul(e, weights))
 
         nm.backward(loss())
         for name, p in (("wk", params.layers[0][0]), ("wq", params.layers[0][1]), ("table", table)):

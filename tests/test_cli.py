@@ -207,6 +207,7 @@ class TestTrainCommand:
         "train.batch_size=0", "train.batch_size=-1", "model.d=0", "model.slot_fill=foo",
         "model.l_layers=-1", "train.epochs=-1", "train.lr=-1", "augment.dropout_ratio=1.5",
         "augment.dropout_ratio=-0.5", "augment.noise_weight=-1", "eval.k=5",
+        "train.patience=-3",
     ])
     def test_out_of_range_setting_exits_2(self, pipeline, tmp_path, setting):
         _, _, data, cf, _ = pipeline
@@ -216,6 +217,18 @@ class TestTrainCommand:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert setting.split("=")[0].split(".")[-1] in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    def test_negative_seed_exits_2(self, pipeline, tmp_path, command):
+        _, _, data, cf, _ = pipeline
+        out = tmp_path / "out.ckpt"
+        extra = ["--cf", str(cf)] if command == "train" else []
+        proc = cli_subprocess(command, "--data", str(data), "--out", str(out), *extra,
+                              "--seed", "-5")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "seed" in proc.stderr
         assert not out.exists()
 
     def test_divergence_exits_3(self, pipeline, tmp_path):
@@ -442,6 +455,16 @@ class TestMalformedCheckpoint:
         err = self.complete_subprocess(data, self.edited(model, tmp_path, edit))
         assert "config" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda header: header["config"].update(nosuch=1),
+        lambda header: header["config"]["augment"].update(nosuch=1),
+        lambda header: header["config"].update(ablation="all"),
+    ], ids=["config", "augment", "ablation"])
+    def test_header_config_unknown_field_exits_2(self, pipeline, tmp_path, edit):
+        _, _, data, _, model = pipeline
+        err = self.complete_subprocess(data, self.edited(model, tmp_path, edit))
+        assert "config" in err
+
 
 class TestExplainCommand:
     def test_emits_similarity_table(self, pipeline, capsys):
@@ -480,14 +503,23 @@ class TestEvalRepeats:
         r2 = json.loads(two.read_text())
         assert r2["n_bundles"] == 2 * r1["n_bundles"]
 
-    def test_threads_match_single(self, pipeline, tmp_path):
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_repeats_below_one_exit_2(self, pipeline, tmp_path, repeats):
         _, _, data, _, model = pipeline
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        base = ["eval", "--model", str(model), "--data", str(data)]
-        assert main(base + ["--out", str(a)]) == 0
-        assert main(base + ["--out", str(b), "--threads", "3"]) == 0
-        assert json.loads(a.read_text()) == json.loads(b.read_text())
+        out = tmp_path / "r.json"
+        proc = cli_subprocess("eval", "--model", str(model), "--data", str(data), "--out", str(out),
+                              "--eval-repeats", repeats)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "--eval-repeats" in proc.stderr
+        assert not out.exists()
+
+    def test_threads_option_removed(self, pipeline, tmp_path):
+        _, _, data, _, model = pipeline
+        out = tmp_path / "t.json"
+        args = ["eval", "--model", str(model), "--data", str(data), "--out", str(out)]
+        assert main(args + ["--threads", "2"]) == 2
+        assert not out.exists()
 
 
 @pytest.mark.slow

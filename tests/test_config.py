@@ -1,9 +1,12 @@
 import json
+from dataclasses import MISSING, fields
 
 import pytest
 
 from bundlecraft.config import DEFAULTS, apply_set, load_config, train_config
+from bundlecraft.contrastive import AugmentationConfig
 from bundlecraft.errors import ConfigError, IntegrityError
+from bundlecraft.trainer import AblationFlags, TrainConfig
 
 
 def test_defaults_load_without_file():
@@ -76,6 +79,7 @@ OUT_OF_RANGE = [
     "model.l_layers=-1", "model.z_layers=-1", "train.epochs=-1", "train.lr=-1", "train.lr=NaN",
     "train.lr=Infinity", "train.alpha1=NaN", "augment.dropout_ratio=1.5",
     "augment.dropout_ratio=-0.5", "augment.noise_weight=-1", "augment.tau=Infinity",
+    "train.patience=-3",
 ]
 
 
@@ -89,7 +93,7 @@ def test_out_of_range_values_rejected(assignment):
 @pytest.mark.parametrize("assignment", [
     "train.lr=0", "train.epochs=0", "model.l_layers=0", "model.z_layers=0", "train.batch_size=1",
     "model.slot_fill=raw", "augment.dropout_ratio=0", "augment.dropout_ratio=1",
-    "augment.noise_weight=0",
+    "augment.noise_weight=0", "train.patience=0", "seed=0",
 ])
 def test_range_boundaries_accepted(assignment):
     train_config(load_config(None, [assignment]))
@@ -99,3 +103,22 @@ def test_no_eval_section():
     assert "eval" not in DEFAULTS
     with pytest.raises(ConfigError, match="eval"):
         load_config(None, ["eval.k=5"])
+
+
+def test_negative_seed_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(None, ["seed=-5"])
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"seed": -1}))
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(p, [])
+
+
+def test_typed_configs_take_every_field_from_the_run_document():
+    for cls in (TrainConfig, AugmentationConfig, AblationFlags):
+        for f in fields(cls):
+            assert f.default is MISSING and f.default_factory is MISSING, (cls.__name__, f.name)
+    tc = train_config(DEFAULTS)
+    assert tc.alpha1 == DEFAULTS["train"]["alpha1"]
+    assert tc.augment.tau == DEFAULTS["augment"]["tau"]
+    assert tc.augment.dropout_ratio == DEFAULTS["augment"]["dropout_ratio"]

@@ -3,6 +3,7 @@ import pytest
 
 import bundlecraft.numerics as nm
 from bundlecraft import contrastive as cl
+from bundlecraft.config import DEFAULTS
 from bundlecraft.corpus import PartialBundleView
 from bundlecraft.errors import DegenerateVectorError, IntegrityError
 from bundlecraft.item_encoder import ItemInputs, encode_item_table, init_item_params
@@ -10,6 +11,11 @@ from bundlecraft.item_encoder import ItemInputs, encode_item_table, init_item_pa
 from conftest import numeric_grad, rel_err
 
 F64 = np.float64
+
+
+def aug_config(**kw):
+    """The default augmentation config with ``kw`` overridden."""
+    return cl.AugmentationConfig(**{**DEFAULTS["augment"], **kw})
 
 
 def info_nce_oracle(anchors, positives, tau):
@@ -107,18 +113,18 @@ def encode(inputs, params):
 class TestAugmentItem:
     def test_na_is_identity(self, aug_setup, rng):
         params, inputs = aug_setup
-        cfg = cl.AugmentationConfig(item_mode="NA")
+        cfg = aug_config(item_mode="NA")
         aug = cl.augment_inputs(inputs, "NA", cfg, rng)
         np.testing.assert_array_equal(encode(aug, params), encode(inputs, params))
 
     def test_fd_zero_ratio_identity(self, aug_setup, rng):
         params, inputs = aug_setup
-        cfg = cl.AugmentationConfig(dropout_ratio=0.0)
+        cfg = aug_config(dropout_ratio=0.0)
         aug = cl.augment_inputs(inputs, "FD", cfg, rng)
         np.testing.assert_array_equal(encode(aug, params), encode(inputs, params))
 
     def test_fn_noise_bound_and_change(self, rng):
-        cfg = cl.AugmentationConfig(item_mode="FN", noise_weight=0.05)
+        cfg = aug_config(item_mode="FN", noise_weight=0.05)
         inputs = ItemInputs(
             content=rng.normal(size=(8, 6)),
             feedback=rng.normal(size=(8, 3)),
@@ -135,7 +141,7 @@ class TestAugmentItem:
         assert changed == 1000
 
     def test_md_forces_single_slot(self, rng):
-        cfg = cl.AugmentationConfig(dropout_ratio=1.0)
+        cfg = aug_config(dropout_ratio=1.0)
         inputs = ItemInputs(
             content=rng.normal(size=(10, 6)),
             feedback=rng.normal(size=(10, 3)),
@@ -146,7 +152,7 @@ class TestAugmentItem:
         assert aug.forced_fallback.sum(axis=1).tolist() == [1] * 10
 
     def test_md_zero_ratio_no_slots(self, rng):
-        cfg = cl.AugmentationConfig(dropout_ratio=0.0)
+        cfg = aug_config(dropout_ratio=0.0)
         inputs = ItemInputs(
             content=rng.normal(size=(4, 6)),
             feedback=rng.normal(size=(4, 3)),
@@ -162,23 +168,23 @@ class TestAugmentBundle:
         return PartialBundleView(0, frozenset({1, 2, 3, 4}), frozenset({5, 6}))
 
     def test_zero_ratio_identity(self, rng):
-        cfg = cl.AugmentationConfig(dropout_ratio=0.0)
+        cfg = aug_config(dropout_ratio=0.0)
         assert cl.augment_bundle(self.view(), "ID", cfg, rng, 50) == self.view()
 
     def test_id_drops_half(self, rng):
-        cfg = cl.AugmentationConfig(dropout_ratio=0.5)
+        cfg = aug_config(dropout_ratio=0.5)
         out = cl.augment_bundle(self.view(), "ID", cfg, rng, 50)
         assert len(out.seeds) == 2
         assert out.seeds <= self.view().seeds
         assert out.targets == self.view().targets
 
     def test_id_singleton_noop(self, rng):
-        cfg = cl.AugmentationConfig(dropout_ratio=0.9)
+        cfg = aug_config(dropout_ratio=0.9)
         v = PartialBundleView(0, frozenset({1}), frozenset({2}))
         assert cl.augment_bundle(v, "ID", cfg, rng, 50) == v
 
     def test_ir_replaces_with_nonmembers(self, rng):
-        cfg = cl.AugmentationConfig(dropout_ratio=0.5)
+        cfg = aug_config(dropout_ratio=0.5)
         out = cl.augment_bundle(self.view(), "IR", cfg, rng, 50)
         assert len(out.seeds) == 4
         outside = out.seeds - self.view().seeds
@@ -188,8 +194,8 @@ class TestAugmentBundle:
 
 def test_bad_modes_rejected():
     with pytest.raises(IntegrityError):
-        cl.AugmentationConfig(item_mode="XX")
+        aug_config(item_mode="XX")
     with pytest.raises(IntegrityError):
-        cl.AugmentationConfig(bundle_mode="XX")
+        aug_config(bundle_mode="XX")
     with pytest.raises(IntegrityError):
-        cl.AugmentationConfig(tau=0.0)
+        aug_config(tau=0.0)

@@ -233,7 +233,8 @@ def perturb_oracle(view, mode, ratio, rng, n_items):
 
 
 def test_seed_perturbations_match_loop_oracle():
-    from bundlecraft.contrastive import AugmentationConfig, augment_bundle
+    from bundlecraft.contrastive import augment_bundle
+    from test_contrastive import aug_config
 
     draw = np.random.default_rng(17)
     for trial in range(300):
@@ -248,7 +249,7 @@ def test_seed_perturbations_match_loop_oracle():
         if mode in ("sparsify", "noisify"):
             got = C.corrupt_partial(view, mode, ratio, got_rng, n_items)
         else:
-            cfg = AugmentationConfig(dropout_ratio=ratio)
+            cfg = aug_config(dropout_ratio=ratio)
             got = augment_bundle(view, mode, cfg, got_rng, n_items)
         assert got == perturb_oracle(view, mode, ratio, want_rng, n_items), (trial, mode)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -161,6 +161,14 @@ class TestMetrics:
         assert ev.ndcg_at_k(base, view_targets, 10) == ev.ndcg_at_k(squared, view_targets, 10)
 
 
+def set_scorer(one):
+    """A set scorer, one row per seed list, from a one-set ``one(seed_list)``."""
+    def score_sets(seed_lists):
+        return (one(seeds) for seeds in seed_lists)
+
+    return score_sets
+
+
 def indicator_scorer(targets_by_seeds, n_items):
     def scorer(seed_idx):
         scores = np.zeros(n_items)
@@ -168,7 +176,7 @@ def indicator_scorer(targets_by_seeds, n_items):
             scores[t] = 1.0
         return scores
 
-    return scorer
+    return set_scorer(scorer)
 
 
 class TestEvaluate:
@@ -194,6 +202,7 @@ class TestEvaluate:
         for setting, rate in (("standard", 0.0), ("warm", 0.0), ("sparsify", 0.5)):
             # sparsify changes the seed key, so the oracle must tolerate subsets
             if setting == "sparsify":
+                @set_scorer
                 def scorer(seed_idx):
                     scores = np.zeros(10)
                     for v in views:
@@ -224,6 +233,7 @@ class TestEvaluate:
     def test_per_bundle_records_average_to_means(self):
         views = self.views()
 
+        @set_scorer
         def scorer(seed_idx):
             scores = np.zeros(10)
             scores[2] = 1.0  # only bundle 0's target
@@ -233,16 +243,15 @@ class TestEvaluate:
         mean_r = sum(r["recall"] for r in report.per_bundle) / 2
         assert abs(report.recall - mean_r) < 1e-12
 
-    def test_threaded_matches_sequential(self):
+    def test_scorer_yielding_too_few_rows_rejected(self):
         views = self.views()
-        table = {tuple(sorted(v.seeds)): v.targets for v in views}
-        seq = ev.evaluate(indicator_scorer(table, 10), views, k=5, threads=1)
-        par = ev.evaluate(indicator_scorer(table, 10), views, k=5, threads=4)
-        assert seq.per_bundle == par.per_bundle
+        with pytest.raises(ValueError):
+            ev.evaluate(lambda seed_lists: [np.zeros(10)], views, k=5)
 
     def test_seeds_excluded_from_candidates(self):
         views = [PartialBundleView(0, frozenset({0}), frozenset({1}))]
 
+        @set_scorer
         def scorer(seed_idx):
             return np.array([10.0, 1.0, 0.5])
 
@@ -300,3 +309,90 @@ class TestExplain:
         model, inputs = model_and_inputs
         table = ev.explain(model, inputs, {2})
         assert table["items"][0]["cosine"] == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# model-backed set scorer against the one-set direct gather it replaced
+# ---------------------------------------------------------------------------
+
+def random_model(rng, n, attention):
+    import copy
+
+    from bundlecraft.cf_pretrain import CfEmbeddings
+    from bundlecraft.config import DEFAULTS, train_config
+    from bundlecraft.item_encoder import ItemInputs
+    from bundlecraft.trainer import init_model
+
+    feat, cfd = 5, 3
+    cfgd = copy.deepcopy(DEFAULTS)
+    cfgd["model"]["d"] = 8
+    cfgd["ablation"].update(use_item_attention=attention, use_bundle_attention=attention)
+    cf = CfEmbeddings(user_table=np.zeros((2, cfd), np.float32),
+                      item_table=rng.normal(size=(n, cfd)).astype(np.float32), k_layers=1)
+    present = rng.random(n) > 0.3
+    inputs = ItemInputs(
+        content=rng.normal(size=(n, feat)).astype(np.float32),
+        feedback=np.where(present[:, None], rng.normal(size=(n, cfd)), 0.0).astype(np.float32),
+        feedback_present=present,
+        id_warm=rng.random(n) > 0.2,
+    )
+    return init_model(n, feat, cf, train_config(cfgd), rng), inputs
+
+
+def one_set_oracle(model, inputs, seeds):
+    """Scores of one sorted seed list by a direct gather of its rows of the
+    catalog table and one 1 x d by d x N product."""
+    from bundlecraft import numerics as nm
+    from bundlecraft.bundle_encoder import encode_bundle
+    from bundlecraft.item_encoder import encode_item_table
+
+    cfg, ab = model.config, model.config.ablation
+    dtype = nm.DTYPES[cfg.precision]
+    table = encode_item_table(inputs, model.item_params, cfg.slot_fill, ab.use_feedback,
+                              ab.use_item_attention, dtype).value
+    rows = nm.constant(table[np.asarray(seeds, dtype=np.int64)], dtype)
+    e = encode_bundle(rows, model.bundle_params, ab.use_bundle_attention)
+    return (e.value @ np.ascontiguousarray(table.T))[0]
+
+
+class TestSetScorer:
+    N = 37
+
+    def seed_lists(self, rng, count):
+        """Sorted seed lists of sizes 1-5, so batches mix padded and full sets."""
+        return [sorted(rng.choice(self.N, size=int(rng.integers(1, 6)), replace=False).tolist())
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_one_set_scores_byte_identical_to_oracle(self, rng, attention):
+        model, inputs = random_model(rng, self.N, attention)
+        scorer = ev.make_scorer(model, inputs)
+        for seeds in self.seed_lists(rng, 30):
+            got = scorer(seeds)
+            assert got.shape == (self.N,)
+            assert got.tobytes() == one_set_oracle(model, inputs, seeds).tobytes(), seeds
+
+    @pytest.mark.parametrize("attention", [True, False])
+    @pytest.mark.parametrize("chunk_sets", [None, 3])
+    def test_rows_match_oracle_across_padding_and_chunks(self, rng, monkeypatch, attention,
+                                                          chunk_sets):
+        model, inputs = random_model(rng, self.N, attention)
+        if chunk_sets is not None:
+            # 11 lists score in chunks of 3, 3, 3 and 2
+            monkeypatch.setattr(ev, "SCORE_CHUNK", chunk_sets * self.N)
+        seed_lists = self.seed_lists(rng, 11)
+        rows = list(ev.make_set_scorer(model, inputs)(seed_lists))
+        assert len(rows) == len(seed_lists)
+        for seeds, row in zip(seed_lists, rows):
+            want = one_set_oracle(model, inputs, seeds)
+            assert np.abs(row - want).max() <= 1e-5 * np.abs(want).max(), seeds
+            assert ev.rank_candidates(row, set(seeds), 10) == ev.rank_candidates(
+                want, set(seeds), 10)
+
+    def test_chunk_of_one_set_is_the_one_set_scorer(self, rng, monkeypatch):
+        model, inputs = random_model(rng, self.N, True)
+        monkeypatch.setattr(ev, "SCORE_CHUNK", 1)
+        seed_lists = self.seed_lists(rng, 5)
+        rows = ev.make_set_scorer(model, inputs)(seed_lists)
+        for seeds, row in zip(seed_lists, rows, strict=True):
+            assert row.tobytes() == one_set_oracle(model, inputs, seeds).tobytes()

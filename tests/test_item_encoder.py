@@ -313,13 +313,14 @@ class TestRowRestriction:
     @pytest.mark.parametrize("augment", ["none", "forced", "MD", "FN", "FD"])
     def test_subset_equals_rows_of_full_table(self, rng, slot_fill, use_feedback, use_attention,
                                               augment):
-        from bundlecraft.contrastive import AugmentationConfig, augment_inputs
+        from bundlecraft.contrastive import augment_inputs
+        from test_contrastive import aug_config
 
         n, cfd = 13, (5 if slot_fill == "raw" else 3)
         params = make_params(rng, n_items=n, feat_dim=5, cf_dim=cfd, layers=2)
         inputs = random_inputs(rng, n, cfd=cfd, forced=augment == "forced")
         if augment in ("MD", "FN", "FD"):
-            config = AugmentationConfig(item_mode=augment, dropout_ratio=0.5, noise_weight=0.3)
+            config = aug_config(item_mode=augment, dropout_ratio=0.5, noise_weight=0.3)
             inputs = augment_inputs(inputs, augment, config, rng)
         kw = dict(slot_fill=slot_fill, use_feedback=use_feedback, use_attention=use_attention,
                   dtype=F64)

@@ -187,6 +187,11 @@ class TestHardErrors:
         with pytest.raises(ShapeError):
             nm.add(nm.constant([[1.0]], np.float32), nm.constant([[1.0]], np.float64))
 
+    @pytest.mark.parametrize("idx", [[-1], [0, -5], [5], [2, 99], [[0]]])
+    def test_take_rows_bad_index_rejected(self, idx):
+        with pytest.raises(ShapeError):
+            nm.take_rows(nm.constant(np.zeros((5, 2)), F64), idx)
+
 
 def test_graph_evaluation_deterministic(rng):
     x = rng.normal(size=(5, 4))

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ import bundlecraft.numerics as nm
 from bundlecraft import baselines
 from bundlecraft import corpus as C
 from bundlecraft import trainer as tr
+from bundlecraft.bundle_encoder import encode_sets
 from bundlecraft.cf_pretrain import CfEmbeddings, pretrain
 from bundlecraft.config import DEFAULTS, train_config
 from bundlecraft.contrastive import augment_bundle, augment_inputs, info_nce
 from bundlecraft.corpus import PartialBundleView, sample_partial, warm_items
-from bundlecraft.errors import CorpusFormatError, DivergenceError, IntegrityError
+from bundlecraft.errors import CorpusFormatError, DivergenceError, IntegrityError, ShapeError
 from bundlecraft.evaluation import make_scorer
 from bundlecraft.item_encoder import ItemInputs, build_item_inputs, encode_item_table
 from bundlecraft.synth import SynthSpec, generate
@@ -63,13 +65,20 @@ class TestScore:
             assert out.value[0, i] == pytest.approx(float(e[0] @ table[i]), abs=1e-12)
 
 
+def nll_oracle(logits, targets):
+    """(1/N) sum over targets of -log softmax(logits), for one row of N scores."""
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
+    return sum(-math.log(probs[t]) for t in targets) / len(logits)
+
+
 class TestNllLoss:
     def test_uniform_scores(self):
-        loss = tr.nll_loss(nm.constant(np.zeros((1, 4)), F64), {1})
+        loss = tr.nll_loss(nm.constant(np.zeros((1, 4)), F64), [{1}])
         assert abs(loss.item() - np.log(4) / 4) < 1e-12
 
     def test_direct_formula(self):
-        loss = tr.nll_loss(nm.constant([[1.0, 0.0, 0.0, 0.0]], F64), {0})
+        loss = tr.nll_loss(nm.constant([[1.0, 0.0, 0.0, 0.0]], F64), [{0}])
         want = -np.log(np.e / (np.e + 3)) / 4
         assert abs(loss.item() - want) < 1e-12
         assert abs(loss.item() - 0.1859) < 5e-5
@@ -77,18 +86,33 @@ class TestNllLoss:
     def test_dominant_score_drives_loss_to_zero(self):
         scores = np.zeros((1, 4))
         scores[0, 2] = 50.0
-        loss = tr.nll_loss(nm.constant(scores, F64), {2})
+        loss = tr.nll_loss(nm.constant(scores, F64), [{2}])
         assert loss.item() < 1e-10
 
     def test_empty_targets_rejected(self):
         with pytest.raises(IntegrityError):
-            tr.nll_loss(nm.constant(np.zeros((1, 4)), F64), set())
+            tr.nll_loss(nm.constant(np.zeros((1, 4)), F64), [set()])
 
     def test_strictly_positive(self, rng):
         for _ in range(20):
             scores = rng.normal(size=(1, 6))
-            loss = tr.nll_loss(nm.constant(scores, F64), {0, 3})
+            loss = tr.nll_loss(nm.constant(scores, F64), [{0, 3}])
             assert loss.item() > 0
+
+    def test_batch_is_the_mean_of_its_rows(self, rng):
+        for _ in range(50):
+            b, n = int(rng.integers(2, 7)), int(rng.integers(2, 30))
+            scores = rng.normal(size=(b, n))
+            target_sets = [set(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
+                           for _ in range(b)]
+            got = tr.nll_loss(nm.constant(scores, F64), target_sets).item()
+            want = sum(nll_oracle(row, t) for row, t in zip(scores, target_sets)) / b
+            assert abs(got - want) < 1e-12
+
+    @pytest.mark.parametrize("target_sets", [[{0}, set()], [{0}, {4}], [{-1}, {1}], [{0}]])
+    def test_bad_target_sets_rejected(self, target_sets):
+        with pytest.raises((IntegrityError, ShapeError)):
+            tr.nll_loss(nm.constant(np.zeros((2, 4)), F64), target_sets)
 
 
 def toy_setup(rng, alpha1=0.3, alpha2=0.2, beta=1e-3, **kw):
@@ -312,6 +336,16 @@ class TestCheckpoint:
         seeds = sorted(catalog.bundles[result.split[2][0]])[:2]
         assert s1(seeds).tobytes() == s2(seeds).tobytes()
 
+    def test_partial_config_echo_takes_run_defaults(self):
+        # the benchmark's planted serve checkpoint echoes only these keys
+        cfg = tr.config_from_dict({"d": 64, "seed": 0, "augment": {},
+                                   "ablation": {"use_feedback": False}})
+        want = train_config(DEFAULTS)
+        assert cfg.d == 64 and cfg.ablation.use_feedback is False
+        assert cfg.alpha1 == want.alpha1 and cfg.patience == want.patience
+        assert cfg.augment == want.augment
+        assert cfg.ablation.use_bundle_attention == want.ablation.use_bundle_attention
+
     @pytest.mark.parametrize("name", ["W_p", "V", "item_0_WK", "bundle_0_WQ"])
     def test_shape_disagreeing_with_config_rejected(self, tiny_corpus, tmp_path, name):
         catalog, features, _, cf = tiny_corpus
@@ -372,8 +406,12 @@ def full_aug_total_loss_oracle(views, model, inputs, rng, all_views=None):
     dtype = nm.DTYPES[cfg.precision]
     f_table = encode_item_table(
         inputs, model.item_params, cfg.slot_fill, ab.use_feedback, ab.use_item_attention, dtype)
-    e_batch = tr._encode_views(views, f_table, model.bundle_params, ab.use_bundle_attention)
-    loss = tr._batch_nll(tr.score(e_batch, f_table), [v.targets for v in views])
+    def encode(vs):
+        return encode_sets(f_table, [v.seeds for v in vs], model.bundle_params,
+                           ab.use_bundle_attention)
+
+    e_batch = encode(views)
+    loss = tr.nll_loss(tr.score(e_batch, f_table), [v.targets for v in views])
     aug_inputs = augment_inputs(inputs, cfg.augment.item_mode, cfg.augment, rng)
     if cfg.augment.item_mode == "NA":
         f_aug = f_table
@@ -388,11 +426,10 @@ def full_aug_total_loss_oracle(views, model, inputs, rng, all_views=None):
                        cfg.augment.tau)
     loss = nm.add(loss, nm.smul(cl_item, cfg.alpha1))
     pool_views = list(all_views) if (cfg.augment.negatives == "full" and all_views) else views
-    e_pool = (e_batch if pool_views is views else
-              tr._encode_views(pool_views, f_table, model.bundle_params, ab.use_bundle_attention))
+    e_pool = e_batch if pool_views is views else encode(pool_views)
     aug_views = [augment_bundle(v, cfg.augment.bundle_mode, cfg.augment, rng, inputs.n_items)
                  for v in pool_views]
-    e_aug = tr._encode_views(aug_views, f_table, model.bundle_params, ab.use_bundle_attention)
+    e_aug = encode(aug_views)
     loss = nm.add(loss, nm.smul(info_nce(e_pool, e_aug, cfg.augment.tau), cfg.alpha2))
     l2 = None
     for p in model.trainables():
