@@ -7,6 +7,11 @@ interactions and per-item content features. File formats:
 * affiliations: UTF-8 text, one ``bundle_token<TAB>item_token`` per line.
 * item index:   UTF-8 text, one ``item_token<TAB>row`` per line, rows
   0..N-1 dense.
+
+  In these three files lines end in LF, CRLF or CR, blank lines are
+  skipped and every other line holds exactly one TAB; tokens may contain
+  anything else, spaces included. Each file is read at once and checked
+  with array operations.
 * features:     binary, magic ``BFV1``, u32 LE row count, u32 LE dim,
   presence bitmap of ceil(rows/8) bytes (bit r%8 of byte r//8 set = row
   present), then rows*dim float32 LE values row-major. Absent rows occupy
@@ -17,8 +22,11 @@ caller everywhere randomness is involved.
 """
 
 import logging
+import re
 import struct
+import time
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -108,47 +116,128 @@ class PartialBundleView:
 # readers
 # ---------------------------------------------------------------------------
 
-def _read_pairs(path):
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusFormatError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            pairs.append((parts[0], parts[1], lineno))
-    return pairs
+def _read_tsv(path):
+    """Read a two-field TSV file at once: ``(first fields, second fields, line numbers, bad line)``.
+
+    Line ends are translated as text mode does (CRLF and lone CR become LF),
+    blank lines are skipped, and every other line must hold exactly one TAB.
+    ``bad line`` is the number of the first line that does not, or None; the
+    fields and line numbers cover the lines before it.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"{path}:{lineno}: not valid UTF-8") from None
+    # one pass over the bytes: where each line ends, and how many TABs it holds
+    # (both are ASCII, so never part of a multi-byte character)
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    if not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))  # the last line has no newline
+    sizes = np.diff(ends, prepend=-1)  # line length plus its newline
+    filled = sizes > 1
+    tabs = np.bincount(np.searchsorted(ends, np.flatnonzero(buf == 9)), minlength=len(ends))
+    bad = _first(filled & (tabs != 1))
+    if bad is not None:  # keep the lines before it
+        text = raw[: ends[bad] - sizes[bad] + 1].decode("utf-8")
+        filled = filled[:bad]
+        bad += 1
+    lines = np.flatnonzero(filled) + 1
+    n = len(lines)
+    fields = re.sub("\n\n+", "\n", text).strip("\n").replace("\t", "\n").split("\n")
+    return fields[0 : 2 * n : 2], fields[1 : 2 * n : 2], lines, bad
 
 
-def read_item_index(path):
-    rows = {}
-    tokens = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusFormatError(f"{path}:{lineno}: expected token<TAB>row")
-            token = parts[0]
-            try:
-                row = int(parts[1])
-            except ValueError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: row is not an integer") from exc
-            if token in tokens:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate item token {token!r}")
-            if row in rows:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate row {row}")
-            tokens[token] = row
-            rows[row] = token
+def _first(mask):
+    """Position of the first True in ``mask``, or None."""
+    return int(np.argmax(mask)) if mask.any() else None
+
+
+def _intern(values):
+    """Number the distinct values by first appearance: ``(distinct, index, codes)``."""
+    distinct = list(dict.fromkeys(values))
+    index = dict(zip(distinct, range(len(distinct))))
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+    return distinct, index, codes
+
+
+def _first_repeat(values):
+    """Position of the first value equal to an earlier one, or None."""
+    if not isinstance(values, np.ndarray):
+        if len(set(values)) == len(values):
+            return None
+        values = _intern(values)[2]
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    later = order[1:][ranked[1:] == ranked[:-1]]
+    return int(later.min()) if later.size else None
+
+
+def _parse_ints(texts):
+    """``int`` of each text up to the first that is not an integer.
+
+    Returns ``(ints, position of that text or None)``.
+    """
+    try:
+        return list(map(int, texts)), None
+    except ValueError:
+        pass
+    ints = []  # error path only: find the text ``int`` rejects
+    for text in texts:
+        try:
+            ints.append(int(text))
+        except ValueError:
+            return ints, len(ints)
+
+
+def _read_item_index(path):
+    """Item tokens in row order, and the token -> row dict in file order."""
+    tokens, row_texts, lines, bad_line = _read_tsv(path)
+    rows, bad_row = _parse_ints(row_texts)
+    # checked line by line: fields, integer row, then token, then row uniqueness;
+    # the fields stop before the first bad field line, so that error comes last
+    dup_token = _first_repeat(tokens[: len(rows)])
+    dup_row = _first_repeat(rows)
+    if dup_token is not None and (dup_row is None or dup_token <= dup_row):
+        raise CorpusFormatError(f"{path}:{lines[dup_token]}: duplicate item token {tokens[dup_token]!r}")
+    if dup_row is not None:
+        raise CorpusFormatError(f"{path}:{lines[dup_row]}: duplicate row {rows[dup_row]}")
+    if bad_row is not None:
+        raise CorpusFormatError(f"{path}:{lines[bad_row]}: row is not an integer")
+    if bad_line is not None:
+        raise CorpusFormatError(f"{path}:{bad_line}: expected token<TAB>row")
     n = len(rows)
-    if sorted(rows) != list(range(n)):
+    if n and (min(rows) < 0 or max(rows) >= n):  # n distinct rows are 0..n-1 iff all lie in range
         raise CorpusFormatError(f"{path}: rows are not dense 0..{n - 1}")
-    ordered = tuple(rows[r] for r in range(n))
-    return ordered, tokens
+    ordered = tuple(map(tokens.__getitem__, np.argsort(np.asarray(rows, dtype=np.int64)).tolist()))
+    return ordered, dict(zip(tokens, rows))
+
+
+def _read_links(path, item_index, what):
+    """Read ``owner<TAB>item`` lines: ``(owner tokens, {token: number}, owner codes, item codes)``.
+
+    Owners are numbered by first appearance. Line by line, an unknown item
+    and then a repeated (owner, item) pair are errors; ``what(owner, item)``
+    words the latter.
+    """
+    owner_texts, item_texts, lines, bad_line = _read_tsv(path)
+    if bad_line is not None:
+        raise CorpusFormatError(f"{path}:{bad_line}: expected 2 tab-separated fields")
+    n = len(item_texts)
+    items = np.fromiter(map(item_index.get, item_texts, repeat(-1)), dtype=np.int64, count=n)
+    unknown = _first(items < 0)
+    known = n if unknown is None else unknown
+    owners, owner_index, codes = _intern(owner_texts[:known])
+    items = items[:known]
+    dup = _first_repeat(codes * len(item_index) + items)
+    if dup is not None:
+        raise IntegrityError(f"{path}:{lines[dup]}: {what(owner_texts[dup], item_texts[dup])}")
+    if unknown is not None:
+        raise IntegrityError(f"{path}:{lines[unknown]}: unknown item token {item_texts[unknown]!r}")
+    return owners, owner_index, codes, items
 
 
 def read_features(path, expected_rows=None):
@@ -192,56 +281,36 @@ def write_features(path, data, present):
 def load(interactions_path, affiliations_path, text_feat_path, media_feat_path, index_path):
     """Load, validate and intern the full corpus.
 
-    Returns ``(catalog, features, graph)``. Referential integrity failures
-    (unknown tokens, duplicate edges, malformed bundles) raise
-    :class:`IntegrityError` naming the offending line.
+    Returns ``(catalog, features, graph)``. The first violation found raises
+    :class:`CorpusFormatError` (file format) or :class:`IntegrityError`
+    (unknown tokens, duplicate edges, malformed bundles) naming the file and,
+    where there is one, the line. The checks run in this order: the item
+    index, line by line and then for dense rows; the affiliations, for the
+    line format anywhere in the file, then line by line for unknown items and
+    repeated members, then for bundles of fewer than 2 items in order of
+    first appearance; the interactions, likewise; then the feature files.
     """
-    item_tokens, item_index = read_item_index(index_path)
+    started = time.perf_counter()
+    item_tokens, item_index = _read_item_index(index_path)
     n_items = len(item_tokens)
 
     # bundles, in file order; membership must be duplicate-free and size >= 2
-    bundle_tokens = []
-    bundle_members = []
-    bundle_pos = {}
-    for bt, it, lineno in _read_pairs(affiliations_path):
-        if it not in item_index:
-            raise IntegrityError(f"{affiliations_path}:{lineno}: unknown item token {it!r}")
-        if bt not in bundle_pos:
-            bundle_pos[bt] = len(bundle_tokens)
-            bundle_tokens.append(bt)
-            bundle_members.append([])
-        members = bundle_members[bundle_pos[bt]]
-        idx = item_index[it]
-        if idx in members:
-            raise IntegrityError(f"{affiliations_path}:{lineno}: duplicate item {it!r} in bundle {bt!r}")
-        members.append(idx)
-    for bt, members in zip(bundle_tokens, bundle_members):
-        if len(members) < 2:
-            raise IntegrityError(f"{affiliations_path}: bundle {bt!r} has fewer than 2 items")
-    bundles = tuple(frozenset(m) for m in bundle_members)
+    bundle_tokens, _, bundle_of, members = _read_links(
+        affiliations_path, item_index, lambda bt, it: f"duplicate item {it!r} in bundle {bt!r}"
+    )
+    sizes = np.bincount(bundle_of, minlength=len(bundle_tokens))
+    small = _first(sizes < 2)
+    if small is not None:
+        raise IntegrityError(f"{affiliations_path}: bundle {bundle_tokens[small]!r} has fewer than 2 items")
+    # each bundle's members in file order, cut from one iterator by the bundle sizes
+    flat = iter(members[np.argsort(bundle_of, kind="stable")].tolist())
+    bundles = tuple(map(frozenset, map(islice, repeat(flat), sizes.tolist())))
 
     # interactions; users interned in first-appearance order
-    user_tokens = []
-    user_index = {}
-    u_list = []
-    i_list = []
-    seen = set()
-    for ut, it, lineno in _read_pairs(interactions_path):
-        if it not in item_index:
-            raise IntegrityError(f"{interactions_path}:{lineno}: unknown item token {it!r}")
-        if ut not in user_index:
-            user_index[ut] = len(user_tokens)
-            user_tokens.append(ut)
-        u = user_index[ut]
-        i = item_index[it]
-        if (u, i) in seen:
-            raise IntegrityError(f"{interactions_path}:{lineno}: duplicate edge ({ut!r}, {it!r})")
-        seen.add((u, i))
-        u_list.append(u)
-        i_list.append(i)
+    user_tokens, user_index, user_idx, item_idx = _read_links(
+        interactions_path, item_index, lambda ut, it: f"duplicate edge ({ut!r}, {it!r})"
+    )
     n_users = len(user_tokens)
-    user_idx = np.asarray(u_list, dtype=np.int64)
-    item_idx = np.asarray(i_list, dtype=np.int64)
     user_degree = np.bincount(user_idx, minlength=n_users).astype(np.int64)
     item_degree = np.bincount(item_idx, minlength=n_items).astype(np.int64)
 
@@ -263,7 +332,7 @@ def load(interactions_path, affiliations_path, text_feat_path, media_feat_path, 
         user_tokens=tuple(user_tokens),
         bundle_tokens=tuple(bundle_tokens),
         bundles=bundles,
-        item_index=dict(item_index),
+        item_index=item_index,
         user_index=user_index,
     )
     features = FeatureTable(text=text, text_present=text_present, media=media, media_present=media_present)
@@ -271,12 +340,13 @@ def load(interactions_path, affiliations_path, text_feat_path, media_feat_path, 
         user_idx=user_idx, item_idx=item_idx, user_degree=user_degree, item_degree=item_degree
     )
     log.info(
-        "corpus loaded: #U=%d #I=%d #B=%d #B-I=%d #U-I=%d",
+        "corpus loaded: #U=%d #I=%d #B=%d #B-I=%d #U-I=%d in %.3f s",
         catalog.n_users,
         catalog.n_items,
         catalog.n_bundles,
-        sum(len(b) for b in bundles),
+        len(members),
         graph.n_edges,
+        time.perf_counter() - started,
     )
     return catalog, features, graph
 

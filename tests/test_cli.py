@@ -14,6 +14,7 @@ import pytest
 import bundlecraft
 from bundlecraft import corpus as C
 from bundlecraft.cli import main
+from test_corpus import MALFORMED, load_oracle, outcome, write_edited
 
 SPEC = dict(
     n_items=150, n_users=40, n_bundles=24, n_topics=3, feature_dim=12,
@@ -464,6 +465,44 @@ class TestMalformedCheckpoint:
         _, _, data, _, model = pipeline
         err = self.complete_subprocess(data, self.edited(model, tmp_path, edit))
         assert "config" in err
+
+
+class TestMalformedCorpus:
+    """Every corpus the loader rejects exits 2 with the loader's message, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["pretrain", "complete"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exits_2_with_path_and_line(self, pipeline, tmp_path, name, command):
+        _, _, _, _, model = pipeline
+        data = write_edited(tmp_path / "data", MALFORMED[name])
+        _, message = outcome(load_oracle, data)
+        if command == "pretrain":
+            args = ["pretrain", "--data", str(data), "--out", str(tmp_path / "cf.ckpt")]
+        else:
+            args = ["complete", "--model", str(model), "--data", str(data), "--seeds", "apple"]
+        proc = cli_subprocess(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"error: {message}\n" in proc.stderr
+        assert message.startswith(str(data))
+
+    def test_invalid_utf8_exits_2(self, pipeline, tmp_path):
+        _, _, data, _, _ = pipeline
+        copy = tmp_path / "data"
+        copy.mkdir()
+        for p in Path(data).iterdir():
+            (copy / p.name).write_bytes(p.read_bytes())
+        edges = copy / "interactions.tsv"
+        n_lines = edges.read_bytes().count(b"\n")
+        token = C.load_dir(data)[0].item_tokens[1]
+        with open(edges, "ab") as fh:
+            fh.write(b"u\xff\t" + token.encode("utf-8") + b"\n")
+        out = tmp_path / "cf.ckpt"
+        proc = cli_subprocess("pretrain", "--data", str(copy), "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"error: {edges}:{n_lines + 1}: not valid UTF-8" in proc.stderr
+        assert not out.exists()
 
 
 class TestExplainCommand:
