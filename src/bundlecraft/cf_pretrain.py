@@ -11,8 +11,9 @@ negatives are drawn for a whole epoch at once, so CF checkpoints differ from
 those written by the earlier per-update loop at the same seed; the same seed
 still writes the same bytes.
 
-Checkpoint format: magic ``CFE1``, u32 LE version, u32 LE M, N, d, K, then
-the user table and item table as float32 LE values row-major.
+Checkpoint format: magic ``CFE1``, u32 LE version, u32 LE M, N, d >= 1, K,
+then the user and item tables as float32 LE values row-major and nothing
+more. A NaN or inf in either table is a format error (exit 2).
 """
 
 import logging
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .binio import Reader
 from .errors import ConfigError, CorpusFormatError, NonFiniteError
 
 log = logging.getLogger(__name__)
@@ -182,20 +184,14 @@ def save_cf(path, emb):
 
 
 def load_cf(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CF_MAGIC:
-        raise CorpusFormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 24:
-        raise CorpusFormatError(f"{path}: truncated header, {len(blob)} of 24 bytes")
-    version, m, n, d, k = struct.unpack_from("<IIIII", blob, 4)
+    reader = Reader(path, CF_MAGIC)
+    (version,) = reader.u32(1)
     if version != CF_VERSION:
         raise CorpusFormatError(f"{path}: unsupported version {version}")
+    m, n, d, k = reader.u32(4)
     if d < 1:
         raise CorpusFormatError(f"{path}: embedding width d={d}, must be >= 1")
-    need = 24 + (m + n) * d * 4
-    if len(blob) != need:
-        raise CorpusFormatError(f"{path}: expected {need} bytes, found {len(blob)}")
-    users = np.frombuffer(blob, dtype="<f4", count=m * d, offset=24).reshape(m, d).copy()
-    items = np.frombuffer(blob, dtype="<f4", count=n * d, offset=24 + m * d * 4).reshape(n, d).copy()
+    users = reader.f32(m, d, "user table")
+    items = reader.f32(n, d, "item table")
+    reader.end()
     return CfEmbeddings(user_table=users, item_table=items, k_layers=int(k))

@@ -194,6 +194,9 @@ def _load_model_context(model_path, data_dir):
         raise IntegrityError(
             f"checkpoint has {model.cf.item_table.shape[0]} items, corpus has {catalog.n_items}"
         )
+    if model.item_params.w_c.shape[0] != features.dim:
+        raise IntegrityError(f"checkpoint takes {model.item_params.w_c.shape[0]}-wide content "
+                             f"features (W_c), corpus features are {features.dim} wide")
     split = corpus_mod.split_bundles(catalog, model.config.seed)
     warm = corpus_mod.warm_items(catalog, split[0])
     from .item_encoder import build_item_inputs

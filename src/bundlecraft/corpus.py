@@ -12,10 +12,11 @@ interactions and per-item content features. File formats:
   skipped and every other line holds exactly one TAB; tokens may contain
   anything else, spaces included. Each file is read at once and checked
   with array operations.
-* features:     binary, magic ``BFV1``, u32 LE row count, u32 LE dim,
+* features:     binary, magic ``BFV1``, u32 LE row count, u32 LE dim >= 1,
   presence bitmap of ceil(rows/8) bytes (bit r%8 of byte r//8 set = row
-  present), then rows*dim float32 LE values row-major. Absent rows occupy
-  space but their content is ignored (zeroed on load).
+  present), then rows*dim float32 LE values row-major and nothing more.
+  Absent rows occupy space but their content is ignored (zeroed on load);
+  a NaN or inf in a present row is a format error (exit 2).
 
 All loaded structures are immutable after load; rng state is owned by the
 caller everywhere randomness is involved.
@@ -30,6 +31,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
+from .binio import Reader
 from .errors import CorpusFormatError, InsufficientDataError, IntegrityError
 
 log = logging.getLogger(__name__)
@@ -242,24 +244,16 @@ def _read_links(path, item_index, what):
 
 def read_features(path, expected_rows=None):
     """Read one binary feature file; returns (matrix, presence flags)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != FEATURE_MAGIC:
-        raise CorpusFormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise CorpusFormatError(f"{path}: truncated header")
-    rows, dim = struct.unpack_from("<II", blob, 4)
+    reader = Reader(path, FEATURE_MAGIC)
+    rows, dim = reader.u32(2)
     if expected_rows is not None and rows != expected_rows:
         raise CorpusFormatError(f"{path}: {rows} feature rows, item index has {expected_rows}")
-    bitmap_len = (rows + 7) // 8
-    need = 12 + bitmap_len + rows * dim * 4
-    if len(blob) != need:
-        raise CorpusFormatError(f"{path}: expected {need} bytes, found {len(blob)}")
-    bitmap = np.frombuffer(blob, dtype=np.uint8, count=bitmap_len, offset=12)
-    present = np.unpackbits(bitmap, bitorder="little")[:rows].astype(bool)
-    data = np.frombuffer(blob, dtype="<f4", offset=12 + bitmap_len).reshape(rows, dim)
-    data = data.astype(np.float32, copy=True)
-    data[~present] = 0.0  # content of absent rows is ignored
+    if dim < 1:
+        raise CorpusFormatError(f"{path}: feature width dim={dim}, must be >= 1")
+    bitmap = np.frombuffer(reader.take((rows + 7) // 8), dtype=np.uint8)
+    present = np.unpackbits(bitmap, count=rows, bitorder="little").astype(bool)
+    data = reader.f32(rows, dim, "features", present=present)  # absent rows' content is ignored
+    reader.end()
     return data, present
 
 

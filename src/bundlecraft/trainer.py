@@ -20,7 +20,10 @@ Checkpoint format: magic ``CLHE``, u32 LE version, u32 LE length-prefixed
 UTF-8 JSON header (config echo, epoch, metric snapshot, matrix manifest),
 then each matrix as u32 name length, name bytes, u32 rows, u32 cols,
 float32 LE data. The frozen CF item table rides along as a non-trainable
-matrix so inference needs no separate CF checkpoint.
+matrix so inference needs no separate CF checkpoint. The manifest is
+:func:`matrix_names` plus ``cf_item_table``; the payload holds those
+matrices in manifest order and nothing more. A NaN or inf is a format
+error (exit 2).
 """
 
 import json
@@ -32,6 +35,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics as nm
+from .binio import Reader
 from .bundle_encoder import BundleEncoderParams, encode_sets, init_bundle_params
 from .cf_pretrain import CfEmbeddings
 from .contrastive import AugmentationConfig, augment_bundle, augment_inputs, info_nce
@@ -109,6 +113,15 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and nonnegative, got {self.lr}")
 
 
+def matrix_names(config):
+    """Names of the trainable matrices, in the order :meth:`Model.named_trainables`
+    yields them and a checkpoint stores them."""
+    names = ["W_c", "W_p", "V"]
+    names += [f"item_{l}_{w}" for l in range(config.l_layers) for w in ("WK", "WQ")]
+    names += [f"bundle_{z}_{w}" for z in range(config.z_layers) for w in ("WK", "WQ")]
+    return names
+
+
 @dataclass
 class Model:
     item_params: ItemEncoderParams
@@ -117,18 +130,9 @@ class Model:
     config: TrainConfig
 
     def named_trainables(self):
-        out = [
-            ("W_c", self.item_params.w_c),
-            ("W_p", self.item_params.w_p),
-            ("V", self.item_params.v),
-        ]
-        for l, (wk, wq) in enumerate(self.item_params.layers):
-            out.append((f"item_{l}_WK", wk))
-            out.append((f"item_{l}_WQ", wq))
-        for z, (wk, wq) in enumerate(self.bundle_params.layers):
-            out.append((f"bundle_{z}_WK", wk))
-            out.append((f"bundle_{z}_WQ", wq))
-        return out
+        nodes = [self.item_params.w_c, self.item_params.w_p, self.item_params.v]
+        nodes += [w for pair in (*self.item_params.layers, *self.bundle_params.layers) for w in pair]
+        return list(zip(matrix_names(self.config), nodes, strict=True))
 
     def trainables(self):
         return [node for _, node in self.named_trainables()]
@@ -452,113 +456,60 @@ def save_checkpoint(path, model, epoch=0, metrics=None):
             fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
 
 
-def _check_manifest(path, config, manifest, arrays):
-    """Check that the manifest and the payload hold exactly the matrices the
-    config implies, each of the shape the config implies."""
-    dims = (config.d, config.l_layers, config.z_layers)
-    if not all(type(v) is int and v >= low for v, low in zip(dims, (1, 0, 0))):
-        raise CorpusFormatError(
-            f"{path}: config d, l_layers, z_layers must be integers >= 1, 0, 0, got {dims}")
-    layers = [f"item_{l}_{w}" for l in range(config.l_layers) for w in ("WK", "WQ")]
-    layers += [f"bundle_{z}_{w}" for z in range(config.z_layers) for w in ("WK", "WQ")]
-    expected = ["W_c", "W_p", "V", *layers, "cf_item_table"]
-    if manifest != expected:
-        raise CorpusFormatError(
-            f"{path}: matrix manifest {manifest!r} does not match the config's {expected}")
-    if set(arrays) != set(expected):
-        raise CorpusFormatError(f"{path}: matrix manifest does not match payload")
-    d = config.d
-    n_items, cf_dim = arrays["cf_item_table"].shape
-    shapes = {"W_c": (arrays["W_c"].shape[0], d), "W_p": (cf_dim, d), "V": (n_items, d)}
-    shapes.update({name: (d, d) for name in layers})
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise CorpusFormatError(
-                f"{path}: {name} is {arrays[name].shape}, the config implies {shape}")
-
-
 def load_checkpoint(path):
     """Rebuild a :class:`Model` (and its metadata) from a checkpoint file.
 
-    A truncated file, an unreadable header or one missing a key, and a
-    manifest or payload that does not match the matrices and shapes the
-    header's config implies all raise :class:`CorpusFormatError`.
+    A short or over-long file, an unreadable header or one missing a key,
+    a manifest, payload order or shape other than the header's config
+    implies, and a non-finite value all raise :class:`CorpusFormatError`.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CKPT_MAGIC:
-        raise CorpusFormatError(f"{path}: bad magic {blob[:4]!r}")
-
-    def need(offset, size):
-        if offset + size > len(blob):
-            raise CorpusFormatError(
-                f"{path}: truncated, {size} bytes needed at offset {offset} of {len(blob)}")
-
-    def unpack(fmt, offset):
-        need(offset, struct.calcsize(fmt))
-        return struct.unpack_from(fmt, blob, offset)
-
-    (version,) = unpack("<I", 4)
+    reader = Reader(path, CKPT_MAGIC)
+    (version,) = reader.u32(1)
     if version != CKPT_VERSION:
         raise CorpusFormatError(f"{path}: unsupported version {version}")
-    (jlen,) = unpack("<I", 8)
-    need(12, jlen)
+    (jlen,) = reader.u32(1)
     try:
-        header = json.loads(blob[12 : 12 + jlen])
+        header = json.loads(reader.take(jlen))
     except ValueError as exc:
         raise CorpusFormatError(f"{path}: header is not UTF-8 JSON: {exc}") from exc
     missing = [key for key in ("config", "epoch", "metrics", "matrices")
                if not isinstance(header, dict) or key not in header]
     if missing:
         raise CorpusFormatError(f"{path}: header lacks {', '.join(missing)}")
-    offset = 12 + jlen
-    arrays = {}
-    while offset < len(blob):
-        (nlen,) = unpack("<I", offset)
-        offset += 4
-        need(offset, nlen)
-        # a damaged name fails the manifest check below
-        name = blob[offset : offset + nlen].decode("utf-8", errors="replace")
-        offset += nlen
-        rows, cols = unpack("<II", offset)
-        offset += 8
-        count = rows * cols
-        need(offset, count * 4)
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(rows, cols)
-        arrays[name] = arr.copy()
-        offset += count * 4
     try:
         config = config_from_dict(header["config"])
         cf_k_layers = int(header.get("cf_k_layers", 0))
     except (KeyError, TypeError, ValueError, ConfigError, IntegrityError) as exc:
         raise CorpusFormatError(f"{path}: bad config or cf_k_layers in header: {exc!r}") from exc
-    _check_manifest(path, config, header["matrices"], arrays)
-    dtype = nm.DTYPES[config.precision]
-    item_params = ItemEncoderParams(
-        w_c=nm.parameter(arrays["W_c"], dtype),
-        w_p=nm.parameter(arrays["W_p"], dtype),
-        v=nm.parameter(arrays["V"], dtype),
-        layers=[
-            (
-                nm.parameter(arrays[f"item_{l}_WK"], dtype),
-                nm.parameter(arrays[f"item_{l}_WQ"], dtype),
-            )
-            for l in range(config.l_layers)
-        ],
-    )
-    bundle_params = BundleEncoderParams(
-        layers=[
-            (
-                nm.parameter(arrays[f"bundle_{z}_WK"], dtype),
-                nm.parameter(arrays[f"bundle_{z}_WQ"], dtype),
-            )
-            for z in range(config.z_layers)
-        ]
-    )
-    cf = CfEmbeddings(
-        user_table=np.zeros((0, arrays["cf_item_table"].shape[1]), dtype=np.float32),
-        item_table=arrays["cf_item_table"],
-        k_layers=cf_k_layers,
-    )
-    model = Model(item_params=item_params, bundle_params=bundle_params, cf=cf, config=config)
-    return model, header["epoch"], header["metrics"]
+    dims = (config.d, config.l_layers, config.z_layers)
+    if any(type(v) is not int for v in dims):
+        raise CorpusFormatError(f"{path}: config d, l_layers, z_layers are not integers: {dims}")
+    names = matrix_names(config) + ["cf_item_table"]
+    if header["matrices"] != names:
+        raise CorpusFormatError(
+            f"{path}: matrix manifest {header['matrices']!r} does not match the config's {names}")
+
+    arrays = []
+    for name in names:
+        (nlen,) = reader.u32(1)
+        found = reader.take(nlen)
+        if found != name.encode("utf-8"):
+            raise CorpusFormatError(f"{path}: payload has matrix {found[:64]!r} where the "
+                                    f"manifest puts {name!r}")
+        rows, cols = reader.u32(2)
+        arrays.append(reader.f32(rows, cols, name))
+    reader.end()
+
+    n_items, cf_dim = arrays[-1].shape
+    d = config.d
+    shapes = [(arrays[0].shape[0], d), (cf_dim, d), (n_items, d)] + [(d, d)] * (len(names) - 4)
+    for name, arr, shape in zip(names, arrays, shapes):
+        if arr.shape != shape:
+            raise CorpusFormatError(f"{path}: {name} is {arr.shape}, the config implies {shape}")
+
+    w_c, w_p, v, *layers = [nm.parameter(arr, nm.DTYPES[config.precision]) for arr in arrays[:-1]]
+    pairs = list(zip(layers[::2], layers[1::2]))
+    item_params = ItemEncoderParams(w_c=w_c, w_p=w_p, v=v, layers=pairs[: config.l_layers])
+    bundle_params = BundleEncoderParams(layers=pairs[config.l_layers :])
+    cf = CfEmbeddings(np.zeros((0, cf_dim), dtype=np.float32), arrays[-1], cf_k_layers)
+    return Model(item_params, bundle_params, cf, config), header["epoch"], header["metrics"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,26 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.user_table, emb.user_table)
         np.testing.assert_array_equal(loaded.item_table, emb.item_table)
         assert path.read_bytes()[:4] == b"CFE1"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blob: blob[:-1], "truncated"),
+        (lambda blob: blob + b"\0", "1 trailing bytes"),
+        (lambda blob: blob[:-4] + np.float32(np.nan).tobytes(),
+         "item table holds a non-finite value at row 4, column 3"),
+        (lambda blob: blob[:24] + np.float32(-np.inf).tobytes() + blob[28:],
+         "user table holds a non-finite value at row 0, column 0"),
+    ], ids=["short", "long", "nan", "inf"])
+    def test_damaged_file_rejected(self, tmp_path, rng, edit, message):
+        emb = cf.CfEmbeddings(
+            user_table=rng.normal(size=(3, 4)).astype(np.float32),
+            item_table=rng.normal(size=(5, 4)).astype(np.float32),
+            k_layers=2,
+        )
+        path = tmp_path / "cf.ckpt"
+        cf.save_cf(path, emb)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: {message}")):
+            cf.load_cf(path)
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "x.ckpt").write_bytes(b"XXXX" + b"\x00" * 24)

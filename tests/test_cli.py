@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -43,6 +44,19 @@ def cli_subprocess(*args):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "bundlecraft.cli", *args],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def clhe_records(blob):
+    """Byte span of each ``CLHE`` payload record, name length to last float, by name."""
+    (jlen,) = struct.unpack_from("<I", blob, 8)
+    spans, start = {}, 12 + jlen
+    while start < len(blob):
+        (nlen,) = struct.unpack_from("<I", blob, start)
+        rows, cols = struct.unpack_from("<II", blob, start + 4 + nlen)
+        end = start + 12 + nlen + 4 * rows * cols
+        spans[blob[start + 4 : start + 4 + nlen].decode("utf-8")] = (start, end)
+        start = end
+    return spans
 
 
 @pytest.fixture(scope="module")
@@ -353,39 +367,96 @@ class TestCompleteCommand:
         assert "duplicate" in captured.err
 
 
+class TestDamagedBinaryFile:
+    """Truncated, overwritten and over-long ``BFV1``, ``CFE1`` and ``CLHE`` files
+    through the CLI: every run exits 0, 2 or 3 without a traceback, and a short
+    or over-long file or a NaN or inf in a used row exits 2 naming the file."""
+
+    def target(self, fmt, pipeline, tmp_path):
+        """The file to damage, its intact bytes, a CLI run that reads it, the
+        length of its fixed header, more cut points, the offset of a float the
+        run uses and of one it ignores (or None)."""
+        _, _, data, cf, model = pipeline
+        token = C.load_dir(data)[0].item_tokens[0]
+
+        def complete(data_dir, model_path):
+            return main(["complete", "--model", str(model_path), "--data", str(data_dir),
+                         "--seeds", token, "--k", "3"])
+
+        if fmt == "BFV1":
+            copy = tmp_path / "data"
+            shutil.copytree(data, copy)
+            path = copy / "features_text.bin"
+            blob = path.read_bytes()
+            rows, dim = struct.unpack_from("<II", blob, 4)
+            floats = 12 + (rows + 7) // 8
+            present = np.unpackbits(np.frombuffer(blob[12:floats], dtype=np.uint8), count=rows,
+                                    bitorder="little").astype(bool)
+            absent = np.flatnonzero(~present)
+            ignored = floats + 4 * dim * int(absent[0]) if absent.size else None
+            used = floats + 4 * dim * int(np.flatnonzero(present)[0])
+            return path, blob, lambda: complete(copy, model), 12, [floats], used, ignored
+        if fmt == "CFE1":
+            path = tmp_path / "cf.ckpt"
+            blob = Path(cf).read_bytes()
+            _, m, _, d, _ = struct.unpack_from("<IIIII", blob, 4)
+            out = tmp_path / "m.ckpt"
+            run = lambda: main(["train", "--data", str(data), "--cf", str(path), "--out", str(out),
+                                "--set", "train.epochs=0"])
+            return path, blob, run, 24, [24 + 4 * m * d], 24 + 4 * m * d, None
+        path = tmp_path / "model.ckpt"
+        blob = Path(model).read_bytes()
+        (jlen,) = struct.unpack_from("<I", blob, 8)
+        records = clhe_records(blob)
+        v_start = records["V"][0]
+        cuts = [12 + jlen // 2, 12 + jlen - 1, 12 + jlen, 12 + jlen + 2, v_start + 5, v_start + 13]
+        return path, blob, lambda: complete(data, path), 12, cuts, v_start + 13, None
+
+    @pytest.mark.parametrize("fmt", ["BFV1", "CFE1", "CLHE"])
+    def test_exits_0_2_or_3_without_traceback(self, pipeline, tmp_path, capsys, fmt):
+        path, blob, run, header, cuts, used, ignored = self.target(fmt, pipeline, tmp_path)
+        capsys.readouterr()
+
+        def outcome(damaged):
+            path.write_bytes(bytes(damaged))
+            code = run()
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            return code, err
+
+        # every header field boundary, then a stride through the payload
+        for n in sorted({*range(header + 1), *cuts, *range(header, len(blob), 37),
+                         len(blob) - 1}):
+            code, err = outcome(blob[:n])
+            assert code == 2 and str(path) in err, (n, err)
+        code, err = outcome(blob + bytes(7))
+        assert code == 2 and "trailing" in err, err
+        assert not (tmp_path / "m.ckpt").exists()  # the model a CFE1 run would write
+
+        rng = np.random.default_rng(14)
+        payload = rng.choice(np.arange(header, len(blob)), size=48, replace=False)
+        for offset in [*range(header), *sorted(payload.tolist())]:
+            for byte in (0x00, 0xFF, 0x7F, 0x80):
+                damaged = bytearray(blob)
+                damaged[offset] = byte
+                code, err = outcome(damaged)
+                assert code in (0, 2, 3), (offset, byte, err)
+
+        for value in (np.nan, np.inf, -np.inf):
+            damaged = bytearray(blob)
+            struct.pack_into("<f", damaged, used, value)
+            code, err = outcome(damaged)
+            assert code == 2 and f"error: {path}" in err and "non-finite" in err, (value, err)
+        if ignored is not None:
+            damaged = bytearray(blob)
+            struct.pack_into("<f", damaged, ignored, np.nan)
+            assert outcome(damaged)[0] == 0
+
+
 class TestMalformedCheckpoint:
     def complete(self, data, model_path, token):
         return main(["complete", "--model", str(model_path), "--data", str(data),
                      "--seeds", token, "--k", "3"])
-
-    def test_truncated_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
-        _, _, data, _, model = pipeline
-        blob = Path(model).read_bytes()
-        (jlen,) = struct.unpack_from("<I", blob, 8)
-        token = C.load_dir(data)[0].item_tokens[0]
-        cut_path = tmp_path / "cut.ckpt"
-        # every header field boundary, then a stride through the matrices
-        lengths = sorted({0, 3, 4, 7, 8, 11, 12, 12 + jlen // 2, 12 + jlen - 1, 12 + jlen,
-                          12 + jlen + 2, *range(12 + jlen + 5, len(blob), 37), len(blob) - 1})
-        capsys.readouterr()
-        for n in lengths:
-            cut_path.write_bytes(blob[:n])
-            assert self.complete(data, cut_path, token) == 2, n
-            assert "Traceback" not in capsys.readouterr().err
-
-    def test_truncated_cf_checkpoint_exits_2(self, pipeline, tmp_path, capsys):
-        _, _, data, cf, _ = pipeline
-        blob = Path(cf).read_bytes()
-        cut_path = tmp_path / "cut.cf"
-        out = tmp_path / "m.ckpt"
-        capsys.readouterr()
-        # every length through the 24-byte header, then a stride through the tables
-        for n in [*range(25), *range(29, len(blob), 97), len(blob) - 1]:
-            cut_path.write_bytes(blob[:n])
-            code = main(["train", "--data", str(data), "--cf", str(cut_path), "--out", str(out)])
-            assert code == 2, n
-            assert "Traceback" not in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("change", ["zero_width", "user_count"])
     def test_degenerate_cf_checkpoint_exits_2(self, pipeline, tmp_path, change):
@@ -442,6 +513,38 @@ class TestMalformedCheckpoint:
         _, _, data, _, model = pipeline
         err = self.complete_subprocess(data, self.edited(model, tmp_path, edit))
         assert "config" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda blob, rec: blob + blob[slice(*rec["V"])],
+        lambda blob, rec: blob[: rec["V"][1]] + blob[slice(*rec["V"])] + blob[rec["V"][1] :],
+        lambda blob, rec: (blob[: rec["item_0_WK"][0]] + blob[slice(*rec["item_0_WQ"])]
+                           + blob[slice(*rec["item_0_WK"])] + blob[rec["item_0_WQ"][1] :]),
+        lambda blob, rec: blob[: rec["cf_item_table"][0]],
+    ], ids=["V_again_at_end", "V_twice", "swapped_layer", "last_missing"])
+    def test_payload_disagreeing_with_manifest_exits_2(self, pipeline, tmp_path, capsys, edit):
+        _, _, data, _, model = pipeline
+        blob = Path(model).read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(edit(blob, clhe_records(blob)))
+        capsys.readouterr()
+        assert self.complete(data, bad, C.load_dir(data)[0].item_tokens[0]) == 2
+        assert f"error: {bad}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["complete", "eval", "explain"])
+    def test_feature_width_disagreeing_with_checkpoint_exits_2(self, pipeline, tmp_path, capsys,
+                                                                command):
+        _, _, data, _, model = pipeline
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        for name in ("features_text.bin", "features_media.bin"):
+            features, present = C.read_features(copy / name)
+            C.write_features(copy / name, features[:, :4], present)
+        extra = {"complete": ["--seeds", C.load_dir(data)[0].item_tokens[0]],
+                 "eval": ["--out", str(tmp_path / "report.json")], "explain": ["--bundle", "0"]}
+        capsys.readouterr()
+        assert main([command, "--model", str(model), "--data", str(copy), *extra[command]]) == 2
+        err = capsys.readouterr().err
+        assert "takes 12-wide content features (W_c), corpus features are 4 wide" in err
 
 
     @pytest.mark.parametrize("edit", [

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -167,6 +168,14 @@ def write_corpus(tmp_path, interactions, affiliations, items, dim=4, absent=()):
     return tmp_path
 
 
+def set_feature(path, row, value):
+    """Overwrite column 1 of ``row`` in a ``BFV1`` file in place."""
+    blob = bytearray(path.read_bytes())
+    rows, dim = struct.unpack_from("<II", blob, 4)
+    struct.pack_into("<f", blob, 12 + (rows + 7) // 8 + 4 * (dim * row + 1), value)
+    path.write_bytes(blob)
+
+
 ITEMS = ["apple", "pear", "plum", "fig"]
 BUNDLES = [("b0", "apple"), ("b0", "pear"), ("b1", "plum"), ("b1", "fig"), ("b1", "apple")]
 
@@ -220,6 +229,36 @@ class TestLoad:
         (tmp_path / "features_text.bin").write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(CorpusFormatError, match="magic"):
             C.load_dir(tmp_path)
+
+    def test_zero_feature_width_rejected(self, tmp_path):
+        write_corpus(tmp_path, [], BUNDLES, ITEMS, dim=0)
+        with pytest.raises(CorpusFormatError, match="dim=0"):
+            C.load_dir(tmp_path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blob: blob[:-1], "truncated"), (lambda blob: blob + b"\0", "1 trailing bytes"),
+    ], ids=["short", "long"])
+    def test_feature_file_length_checked(self, tmp_path, edit, message):
+        write_corpus(tmp_path, [], BUNDLES, ITEMS)
+        path = tmp_path / "features_media.bin"
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: ") + message):
+            C.load_dir(tmp_path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_present_row_rejected(self, tmp_path, value):
+        write_corpus(tmp_path, [], BUNDLES, ITEMS, absent=[2])
+        path = tmp_path / "features_text.bin"
+        set_feature(path, 3, value)
+        message = re.escape(f"{path}: features holds a non-finite value at row 3, column 1")
+        with pytest.raises(CorpusFormatError, match=message):
+            C.load_dir(tmp_path)
+
+    def test_non_finite_absent_row_ignored(self, tmp_path):
+        write_corpus(tmp_path, [], BUNDLES, ITEMS, absent=[2])
+        set_feature(tmp_path / "features_text.bin", 2, np.nan)
+        _, features, _ = C.load_dir(tmp_path)
+        assert (features.text[2] == 0).all()
 
     def test_absent_rows_flagged_and_zeroed(self, tmp_path):
         write_corpus(tmp_path, [], BUNDLES, ITEMS, absent=[2])

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -316,7 +317,12 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         tr.save_checkpoint(path, result.model, epoch=result.best_epoch,
                            metrics=result.best_metrics)
-        assert path.read_bytes()[:4] == b"CLHE"
+        blob = path.read_bytes()
+        assert blob[:4] == b"CLHE"
+        (jlen,) = struct.unpack_from("<I", blob, 8)
+        written = json.loads(blob[12 : 12 + jlen])["matrices"]
+        assert written == tr.matrix_names(cfg) + ["cf_item_table"]
+        assert [name for name, _ in result.model.named_trainables()] == tr.matrix_names(cfg)
 
         loaded, epoch, metrics = tr.load_checkpoint(path)
         assert epoch == result.best_epoch
@@ -345,6 +351,20 @@ class TestCheckpoint:
         assert cfg.alpha1 == want.alpha1 and cfg.patience == want.patience
         assert cfg.augment == want.augment
         assert cfg.ablation.use_bundle_attention == want.ablation.use_bundle_attention
+
+    @pytest.mark.parametrize("name", ["V", "bundle_0_WQ", "cf_item_table"])
+    def test_non_finite_matrix_rejected(self, tiny_corpus, tmp_path, name):
+        catalog, features, _, cf = tiny_corpus
+        model = tr.init_model(catalog.n_items, features.text.shape[1], cf, small_config(),
+                              np.random.default_rng(0))
+        model.cf = CfEmbeddings(cf.user_table, cf.item_table.copy(), cf.k_layers)
+        values = {name: node.value for name, node in model.named_trainables()}
+        values["cf_item_table"] = model.cf.item_table
+        values[name][-1, -1] = np.nan
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(path, model)
+        with pytest.raises(CorpusFormatError, match=f"{name} holds a non-finite value"):
+            tr.load_checkpoint(path)
 
     @pytest.mark.parametrize("name", ["W_p", "V", "item_0_WK", "bundle_0_WQ"])
     def test_shape_disagreeing_with_config_rejected(self, tiny_corpus, tmp_path, name):
