@@ -125,9 +125,12 @@ def cmd_synth(args):
     with open(args.spec, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise SynthSpecError(f"{args.spec}: invalid JSON: {exc}") from exc
-    spec = synth_mod.spec_from_dict(data)
+    try:
+        spec = synth_mod.spec_from_dict(data)
+    except SynthSpecError as exc:
+        raise SynthSpecError(f"{args.spec}: {exc}") from exc
     manifest = synth_mod.generate(spec, args.out)
     log.info(
         "synth corpus written to %s: #U=%d #I=%d #B=%d #B-I=%d #U-I=%d oracle_recall@20=%.3f",

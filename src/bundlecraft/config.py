@@ -1,16 +1,24 @@
 """Run configuration: one JSON document, every key overridable from the CLI.
 
-Unknown keys are rejected (no silent typos); the effective config is echoed
-into every output artifact. ``--set a.b=value`` overrides use dotted paths;
-values are parsed as JSON literals with a bare-string fallback.
+:func:`_merge` checks every JSON settings document against its defaults: this
+one with its ``--set a.b=value`` overrides (JSON literals, bare strings as a
+fallback), a checkpoint's config echo and the synth spec. Unknown keys, values
+of another type than the default's (an int passes for a float, a bool never
+for a number) and sections that are not objects are rejected; ranges are the
+typed configs' rules. The effective config is echoed into every artifact.
 """
 
 import copy
 import json
+from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .contrastive import AugmentationConfig
 from .errors import ConfigError
-from .trainer import AblationFlags, TrainConfig
+from .item_encoder import SLOT_FILLS
+from .numerics import DTYPES
+
 
 DEFAULTS = {
     "seed": 0,
@@ -61,35 +69,25 @@ DEFAULTS = {
 
 
 def _merge(base, override, path=""):
+    if not isinstance(override, dict):
+        what = repr(path) if path else "the document"
+        raise ConfigError(f"{what} must be a JSON object, got {type(override).__name__}")
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
-            raise ConfigError(f"unknown config key {where!r}")
+            raise ConfigError(f"unknown key {where!r}")
         if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where!r} must be a section, got {type(value).__name__}")
             out[key] = _merge(base[key], value, where)
         else:
             expected = type(base[key])
-            if (expected is bool) != isinstance(value, bool):
+            if expected is float and type(value) is int:
+                value = float(value)
+            if type(value) is not expected:
                 raise ConfigError(
                     f"{where!r} must be {expected.__name__}, got {type(value).__name__}")
-            if expected is float and isinstance(value, int):
-                value = float(value)
-            if not isinstance(value, expected):
-                raise ConfigError(
-                    f"{where!r} must be {expected.__name__}, got {type(value).__name__}"
-                )
             out[key] = value
     return out
-
-
-def parse_set_value(text):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
 
 
 def apply_set(config, assignment):
@@ -98,7 +96,10 @@ def apply_set(config, assignment):
         raise ConfigError(f"--set needs key=value, got {assignment!r}")
     dotted, _, raw = assignment.partition("=")
     keys = dotted.strip().split(".")
-    override = parse_set_value(raw.strip())
+    try:
+        override = json.loads(raw.strip())
+    except json.JSONDecodeError:
+        override = raw.strip()
     for key in reversed(keys):
         override = {key: override}
     return _merge(config, override)
@@ -110,37 +111,86 @@ def load_config(path=None, sets=()):
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
+                config = _merge(config, json.load(fh))
+            except ValueError as exc:  # bad JSON or bad UTF-8
                 raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        config = _merge(config, data)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
     for assignment in sets:
         config = apply_set(config, assignment)
-    if config["seed"] < 0:
-        raise ConfigError(f"'seed' must be a nonnegative integer, got {config['seed']}")
+    check_seed(config["seed"])
     return config
+
+
+def check_seed(seed):
+    """The run seed rule, shared by every command that takes a seed."""
+    if seed < 0:
+        raise ConfigError(f"'seed' must be a nonnegative integer, got {seed}")
+
+
+@dataclass(frozen=True)
+class AblationFlags:
+    use_feedback: bool
+    use_item_attention: bool
+    use_bundle_attention: bool
+    use_item_cl: bool
+    use_bundle_cl: bool
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    d: int
+    l_layers: int
+    z_layers: int
+    lr: float
+    batch_size: int
+    epochs: int
+    alpha1: float
+    alpha2: float
+    beta: float
+    train_seed_ratio: float
+    eval_seed_ratio: float
+    slot_fill: str
+    precision: str
+    patience: int
+    seed: int
+    augment: AugmentationConfig
+    ablation: AblationFlags
+
+    def __post_init__(self):
+        # a zero lr is allowed: a zero-rate fit keeps the initial parameters
+        for name in ("lr", "alpha1", "alpha2", "beta"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
+        if self.precision not in DTYPES:
+            raise ConfigError(f"precision must be one of {sorted(DTYPES)}")
+        if self.slot_fill not in SLOT_FILLS:
+            raise ConfigError(f"slot_fill must be one of {SLOT_FILLS}, got {self.slot_fill!r}")
+        for name in ("d", "batch_size"):
+            if not getattr(self, name) >= 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("l_layers", "z_layers", "epochs", "patience"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("train_seed_ratio", "eval_seed_ratio"):
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        check_seed(self.seed)
 
 
 def train_config(config):
     """Materialize the trainer's typed config from the run document."""
-    return TrainConfig(
-        d=config["model"]["d"],
-        l_layers=config["model"]["l_layers"],
-        z_layers=config["model"]["z_layers"],
-        lr=config["train"]["lr"],
-        batch_size=config["train"]["batch_size"],
-        epochs=config["train"]["epochs"],
-        alpha1=config["train"]["alpha1"],
-        alpha2=config["train"]["alpha2"],
-        beta=config["train"]["beta"],
-        train_seed_ratio=config["data"]["train_seed_ratio"],
-        eval_seed_ratio=config["data"]["eval_seed_ratio"],
-        slot_fill=config["model"]["slot_fill"],
-        precision=config["precision"],
-        patience=config["train"]["patience"],
-        seed=config["seed"],
-        augment=AugmentationConfig(**config["augment"]),
-        ablation=AblationFlags(**config["ablation"]),
-    )
+    return _typed({**config["data"], **config["model"], **config["train"],
+                   "precision": config["precision"], "seed": config["seed"],
+                   "augment": config["augment"], "ablation": config["ablation"]})
+
+
+def config_from_dict(echo):
+    """Rebuild a :class:`TrainConfig` from a checkpoint header's config echo
+    under ``--set``'s rules; fields it leaves out take :data:`DEFAULTS`."""
+    return _typed(_merge(asdict(train_config(DEFAULTS)), echo))
+
+
+def _typed(flat):
+    return TrainConfig(**{**flat, "augment": AugmentationConfig(**flat["augment"]),
+                          "ablation": AblationFlags(**flat["ablation"])})

@@ -21,7 +21,8 @@ A topic-oracle self-check (score 1 for items of the seed-majority topic,
 index tie-break) runs on the simulated test bundles and its Recall@20 is
 recorded in the manifest.
 
-Same seed, byte-identical files.
+A spec document meets ``config._merge``'s key and type rules, then
+:meth:`SynthSpec.validate`, before a file is written. Same seed, byte-identical files.
 """
 
 import json
@@ -30,8 +31,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import _merge
 from .corpus import split_indices, write_features
-from .errors import SynthSpecError
+from .errors import ConfigError, SynthSpecError
 from .evaluation import rank_candidates, recall_at_k
 
 COLD_PLANT_RATE = 0.5
@@ -61,16 +63,24 @@ class SynthSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise SynthSpecError(f"{name} must lie in [0, 1], got {v}")
-        if self.feature_noise < 0:
-            raise SynthSpecError(f"feature_noise must be nonnegative, got {self.feature_noise}")
+        if not 0 <= self.feature_noise < np.inf:
+            raise SynthSpecError(f"feature_noise must be finite and nonnegative, got {self.feature_noise}")
         if self.bundle_size_min < 2 or self.bundle_size_max < self.bundle_size_min:
             raise SynthSpecError(
                 f"bundle sizes must satisfy 2 <= min <= max, got {self.bundle_size_min}..{self.bundle_size_max}"
             )
+        # rng.choice needs a nonzero Zipf weight for every member a bundle draws
+        skew = self.popularity_skew
+        if not 0 <= skew < np.inf or not self.bundle_size_max ** -skew > 0:
+            raise SynthSpecError(f"popularity_skew must be finite, nonnegative and leave "
+                                 f"bundle_size_max ** -popularity_skew > 0, got {skew}")
         if self.n_bundles < 10:
             raise SynthSpecError(f"need at least 10 bundles, got {self.n_bundles}")
-        if self.n_items < 1 or self.n_users < 1:
-            raise SynthSpecError("n_items and n_users must be positive")
+        for name in ("n_items", "n_users", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise SynthSpecError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise SynthSpecError(f"seed must be >= 0, got {self.seed}")
         # train bundles draw from the non-cold members of one topic
         per_topic = self.n_items // self.n_topics
         n_cold = int(self.cold_item_fraction * self.n_items)
@@ -81,11 +91,12 @@ class SynthSpec:
 
 
 def spec_from_dict(data):
-    known = {f for f in SynthSpec.__dataclass_fields__}
-    unknown = set(data) - known
-    if unknown:
-        raise SynthSpecError(f"unknown spec keys: {sorted(unknown)}")
-    spec = SynthSpec(**data)
+    """A validated :class:`SynthSpec` from a JSON spec document; keys and types
+    follow the run config's rules, with the spec defaults as the schema."""
+    try:
+        spec = SynthSpec(**_merge(asdict(SynthSpec()), data))
+    except ConfigError as exc:
+        raise SynthSpecError(str(exc)) from exc
     spec.validate()
     return spec
 

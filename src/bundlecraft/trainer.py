@@ -23,7 +23,8 @@ float32 LE data. The frozen CF item table rides along as a non-trainable
 matrix so inference needs no separate CF checkpoint. The manifest is
 :func:`matrix_names` plus ``cf_item_table``; the payload holds those
 matrices in manifest order and nothing more. A NaN or inf is a format
-error (exit 2).
+error (exit 2). :func:`config.config_from_dict` reads the config echo back
+under the rules a ``--set`` override meets.
 """
 
 import json
@@ -38,7 +39,8 @@ from . import numerics as nm
 from .binio import Reader
 from .bundle_encoder import BundleEncoderParams, encode_sets, init_bundle_params
 from .cf_pretrain import CfEmbeddings
-from .contrastive import AugmentationConfig, augment_bundle, augment_inputs, info_nce
+from .config import TrainConfig, config_from_dict
+from .contrastive import augment_bundle, augment_inputs, info_nce
 from .corpus import sample_partial, split_bundles, warm_items
 from .errors import (
     ConfigError,
@@ -49,68 +51,12 @@ from .errors import (
     ShapeError,
 )
 from .evaluation import evaluate, make_set_scorer
-from .item_encoder import (
-    SLOT_FILLS,
-    ItemEncoderParams,
-    build_item_inputs,
-    encode_item_table,
-    init_item_params,
-)
+from .item_encoder import ItemEncoderParams, build_item_inputs, encode_item_table, init_item_params
 
 log = logging.getLogger(__name__)
 
 CKPT_MAGIC = b"CLHE"
 CKPT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class AblationFlags:
-    use_feedback: bool
-    use_item_attention: bool
-    use_bundle_attention: bool
-    use_item_cl: bool
-    use_bundle_cl: bool
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    d: int
-    l_layers: int
-    z_layers: int
-    lr: float
-    batch_size: int
-    epochs: int
-    alpha1: float
-    alpha2: float
-    beta: float
-    train_seed_ratio: float
-    eval_seed_ratio: float
-    slot_fill: str
-    precision: str
-    patience: int
-    seed: int
-    augment: AugmentationConfig
-    ablation: AblationFlags
-
-    def __post_init__(self):
-        for name in ("alpha1", "alpha2", "beta"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ConfigError(f"loss weight {name} must be finite and nonnegative, "
-                                  f"got {getattr(self, name)}")
-        if self.precision not in nm.DTYPES:
-            raise ConfigError(f"precision must be one of {sorted(nm.DTYPES)}")
-        if self.slot_fill not in SLOT_FILLS:
-            raise ConfigError(f"slot_fill must be one of {SLOT_FILLS}, got {self.slot_fill!r}")
-        if not self.d >= 1:
-            raise ConfigError(f"model d must be >= 1, got {self.d}")
-        for name in ("l_layers", "z_layers", "epochs", "patience"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.batch_size >= 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        # 0 is allowed: a zero-rate fit keeps the initial parameters
-        if not 0 <= self.lr < np.inf:
-            raise ConfigError(f"lr must be finite and nonnegative, got {self.lr}")
 
 
 def matrix_names(config):
@@ -418,18 +364,6 @@ def fit(catalog, features, graph, cf, config, log_path=None):
 # checkpoint io
 # ---------------------------------------------------------------------------
 
-def config_from_dict(data):
-    """Rebuild a :class:`TrainConfig` from a checkpoint header's config echo.
-    Fields the echo leaves out take the run defaults, ``config.DEFAULTS``."""
-    from .config import DEFAULTS, train_config  # config imports this module
-
-    base = asdict(train_config(DEFAULTS))
-    data = {**base, **data}
-    aug = AugmentationConfig(**{**base["augment"], **data.pop("augment")})
-    ab = AblationFlags(**{**base["ablation"], **data.pop("ablation")})
-    return TrainConfig(augment=aug, ablation=ab, **data)
-
-
 def save_checkpoint(path, model, epoch=0, metrics=None):
     named = model.named_trainables()
     matrices = [(name, node.value) for name, node in named]
@@ -460,8 +394,9 @@ def load_checkpoint(path):
     """Rebuild a :class:`Model` (and its metadata) from a checkpoint file.
 
     A short or over-long file, an unreadable header or one missing a key,
-    a manifest, payload order or shape other than the header's config
-    implies, and a non-finite value all raise :class:`CorpusFormatError`.
+    a config echo that breaks the run config's rules, a manifest, payload
+    order or shape other than that config implies, and a non-finite value
+    all raise :class:`CorpusFormatError`.
     """
     reader = Reader(path, CKPT_MAGIC)
     (version,) = reader.u32(1)
@@ -479,11 +414,8 @@ def load_checkpoint(path):
     try:
         config = config_from_dict(header["config"])
         cf_k_layers = int(header.get("cf_k_layers", 0))
-    except (KeyError, TypeError, ValueError, ConfigError, IntegrityError) as exc:
+    except (TypeError, ValueError, ConfigError, IntegrityError) as exc:
         raise CorpusFormatError(f"{path}: bad config or cf_k_layers in header: {exc!r}") from exc
-    dims = (config.d, config.l_layers, config.z_layers)
-    if any(type(v) is not int for v in dims):
-        raise CorpusFormatError(f"{path}: config d, l_layers, z_layers are not integers: {dims}")
     names = matrix_names(config) + ["cf_item_table"]
     if header["matrices"] != names:
         raise CorpusFormatError(

@@ -87,6 +87,30 @@ class TestSynthCommand:
         bad.write_text(json.dumps({"n_items": 10, "n_topics": 99}))
         assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        (None, []), ("n_items", "x"), ("n_items", 200.5), ("seed", -1), ("feature_dim", -1),
+        ("feature_dim", True), ("feature_dim", 0), ("feature_noise", float("nan")),
+        ("feature_noise", float("inf")), ("popularity_skew", float("nan")),
+        ("popularity_skew", float("inf")), ("popularity_skew", 1000.0),
+        ("popularity_skew", "a"), ("popularity_skew", -0.5),
+    ])
+    def test_malformed_spec_exits_2_writing_nothing(self, tmp_path, key, value):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(value if key is None else {**SPEC, key: value}))
+        out = tmp_path / "o"
+        proc = cli_subprocess("synth", "--spec", str(spec_path), "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"error: {spec_path}: " in proc.stderr
+        assert key is None or key in proc.stderr
+        assert not out.exists()
+
+    def test_spec_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"seed": "\xff"}')
+        assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {bad}: invalid JSON" in capsys.readouterr().err
+
     def test_deterministic_hashes(self, pipeline, tmp_path):
         _, spec_path, data, _, _ = pipeline
         again = tmp_path / "again"
@@ -553,7 +577,16 @@ class TestMalformedCheckpoint:
         lambda header: header["config"].update(slot_fill="foo"),
         lambda header: header["config"].update(lr=-1.0),
         lambda header: header["config"]["augment"].update(dropout_ratio=1.5),
-    ], ids=["batch_size", "d", "slot_fill", "lr", "dropout_ratio"])
+        lambda header: header["config"].update(eval_seed_ratio=1.0),
+        lambda header: header["config"].update(seed=-5),
+        lambda header: header["config"].update(seed=1.5),
+        lambda header: header["config"].update(seed="x"),
+        lambda header: header["config"]["ablation"].update(use_feedback=1),
+        lambda header: header["config"]["augment"].update(tau=True),
+        lambda header: header["config"].update(epochs=2.5),
+    ], ids=["batch_size", "d", "slot_fill", "lr", "dropout_ratio", "eval_seed_ratio",
+            "seed_negative", "seed_float", "seed_string", "use_feedback_int", "tau_bool",
+            "epochs_float"])
     def test_header_config_out_of_range_exits_2(self, pipeline, tmp_path, edit):
         _, _, data, _, model = pipeline
         err = self.complete_subprocess(data, self.edited(model, tmp_path, edit))

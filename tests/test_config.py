@@ -1,12 +1,25 @@
 import json
-from dataclasses import MISSING, fields
+import os
+import re
+import subprocess
+import sys
+from dataclasses import MISSING, asdict, fields, replace
+from pathlib import Path
 
 import pytest
 
-from bundlecraft.config import DEFAULTS, apply_set, load_config, train_config
+import bundlecraft
+from bundlecraft.config import (
+    DEFAULTS,
+    AblationFlags,
+    TrainConfig,
+    apply_set,
+    config_from_dict,
+    load_config,
+    train_config,
+)
 from bundlecraft.contrastive import AugmentationConfig
 from bundlecraft.errors import ConfigError, IntegrityError
-from bundlecraft.trainer import AblationFlags, TrainConfig
 
 
 def test_defaults_load_without_file():
@@ -31,6 +44,14 @@ def test_unknown_key_rejected(tmp_path):
     p.write_text(json.dumps({"train": {"lrr": 0.5}}))
     with pytest.raises(ConfigError, match="train.lrr"):
         load_config(p, [])
+
+
+def test_file_not_an_object_or_not_utf8_rejected(tmp_path):
+    p = tmp_path / "c.json"
+    for blob in (b"[]", b'{"seed": "\xff"}'):
+        p.write_bytes(blob)
+        with pytest.raises(ConfigError, match=re.escape(str(p))):
+            load_config(p, [])
 
 
 def test_set_overrides():
@@ -79,7 +100,8 @@ OUT_OF_RANGE = [
     "model.l_layers=-1", "model.z_layers=-1", "train.epochs=-1", "train.lr=-1", "train.lr=NaN",
     "train.lr=Infinity", "train.alpha1=NaN", "augment.dropout_ratio=1.5",
     "augment.dropout_ratio=-0.5", "augment.noise_weight=-1", "augment.tau=Infinity",
-    "train.patience=-3",
+    "train.patience=-3", "data.train_seed_ratio=0", "data.train_seed_ratio=1",
+    "data.eval_seed_ratio=0", "data.eval_seed_ratio=1.5",
 ]
 
 
@@ -122,3 +144,33 @@ def test_typed_configs_take_every_field_from_the_run_document():
     assert tc.alpha1 == DEFAULTS["train"]["alpha1"]
     assert tc.augment.tau == DEFAULTS["augment"]["tau"]
     assert tc.augment.dropout_ratio == DEFAULTS["augment"]["dropout_ratio"]
+
+
+def test_train_config_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        replace(train_config(DEFAULTS), seed=-1)
+
+
+@pytest.mark.parametrize("sets", [
+    [],
+    ["model.d=32", "train.epochs=60", "train.batch_size=64", "train.lr=0.01", "seed=0"],
+    ["precision=f64"],
+    [f"ablation.{name}=false" for name in DEFAULTS["ablation"]],
+], ids=["defaults", "readme_quick_start", "f64", "ablations_off"])
+def test_config_echo_round_trips(sets):
+    tc = train_config(load_config(None, sets))
+    assert config_from_dict(json.loads(json.dumps(asdict(tc)))) == tc
+
+
+PACKAGE = Path(bundlecraft.__file__).resolve().parent
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
+def test_module_imports_first_in_a_fresh_interpreter(name):
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    probe = f"import sys, bundlecraft.{name}; print(sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    if name == "config":
+        assert "'bundlecraft.trainer'" not in proc.stdout
