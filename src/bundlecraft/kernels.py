@@ -6,6 +6,12 @@ the pairwise-ranking SGD sweep, applied as batched runs of updates that
 touch no row twice). Given the same inputs each kernel always produces the
 same bits.
 
+``softmax_rows`` and its backward serve set attention, whose rows are set
+sizes: 3 slots per item, the largest seed set per bundle. Their row max and
+row sum run one column at a time, which costs a pass per column instead of
+numpy's per-row reduction; the log-softmax pair takes catalog-wide rows and
+keeps numpy's row reductions.
+
 The kernels are module attributes that callers look up at call time
 (``kernels.softmax_rows(...)``), so a tracer can rebind them by name.
 """
@@ -19,15 +25,29 @@ ACTIVE = "numpy"
 
 def softmax_rows(x):
     """Row softmax with row-max subtraction."""
-    m = x.max(axis=1, keepdims=True)
+    m = _row_reduce(np.maximum, x)
     e = np.exp(x - m)
-    return e / e.sum(axis=1, keepdims=True)
+    e /= _row_reduce(np.add, e)
+    return e
 
 
 def softmax_rows_grad(p, g):
     """Backward of row softmax: dx = p * (g - sum(g * p, row))."""
-    dot = (g * p).sum(axis=1, keepdims=True)
-    return p * (g - dot)
+    dx = g - _row_reduce(np.add, g * p)
+    dx *= p
+    return dx
+
+
+def _row_reduce(op, x):
+    """``op`` folded over the columns of ``x`` left to right, as an N x 1 column.
+
+    One pass per column beats numpy's per-row reduction on short rows; below
+    8 columns numpy's row sum also adds in order, so the bits are the same.
+    """
+    acc = x[:, :1].copy()
+    for j in range(1, x.shape[1]):
+        op(acc, x[:, j : j + 1], out=acc)
+    return acc
 
 
 def log_softmax_rows(x):

@@ -44,7 +44,8 @@ class GraphNode:
     """One node of the computation graph.
 
     ``value`` is the forward result, ``adjoint`` the gradient accumulator
-    (allocated lazily, zero-initialized, same shape as ``value``).
+    (None until the first gradient arrives, then a copy of it that later
+    contributions add to; same shape and dtype as ``value``).
     ``requires_grad`` marks leaves that should receive gradients; interior
     nodes inherit it from their parents.
     """
@@ -94,8 +95,9 @@ def _accum(node, grad):
     if not node.requires_grad:
         return
     if node.adjoint is None:
-        node.adjoint = np.zeros_like(node.value)
-    node.adjoint += grad
+        node.adjoint = np.array(grad, dtype=node.value.dtype, order="C")
+    else:
+        node.adjoint += grad
 
 
 def zero_adjoints(nodes):
@@ -173,8 +175,10 @@ def mul(a, b):
         raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
 
     def rule(g):
-        _accum(a, g * b.value)
-        _accum(b, g * a.value)
+        if a.requires_grad:
+            _accum(a, g * b.value)
+        if b.requires_grad:
+            _accum(b, g * a.value)
 
     return _make(a.value * b.value, (a, b), rule, "mul")
 
@@ -231,16 +235,6 @@ def transpose(a):
 # row-structured ops
 # ---------------------------------------------------------------------------
 
-def softmax_rows(a):
-    """Row softmax, computed with row-max subtraction; rows sum to 1."""
-    p = kernels.softmax_rows(a.value)
-
-    def rule(g):
-        _accum(a, kernels.softmax_rows_grad(p, g))
-
-    return _make(p, (a,), rule, "softmax_rows")
-
-
 def log_softmax_rows(a):
     y = kernels.log_softmax_rows(a.value)
 
@@ -248,6 +242,24 @@ def log_softmax_rows(a):
         _accum(a, kernels.log_softmax_rows_grad(y, g))
 
     return _make(y, (a,), rule, "log_softmax_rows")
+
+
+def log_softmax_pick(a, mask, c):
+    """``c`` times the sum of log softmax(row) over the entries of the 0/1
+    matrix ``mask``, as a 1x1 node.
+
+    One node does the work of log_softmax_rows, a product with the mask,
+    sum_all and smul, with the same value and gradient bits.
+    """
+    if mask.shape != a.shape or mask.dtype != a.dtype:
+        raise ShapeError(f"log_softmax_pick: mask {mask.shape} {mask.dtype} for {a.shape} {a.dtype}")
+    c = float(c)
+    y = kernels.log_softmax_rows(a.value)
+
+    def rule(g):
+        _accum(a, kernels.log_softmax_rows_grad(y, mask * (g * c)))
+
+    return _make((y * mask).sum().reshape(1, 1) * c, (a,), rule, "log_softmax_pick")
 
 
 def sum_all(a):
@@ -368,7 +380,9 @@ def select_rows(mask, on, off):
 # A batch of G sets of up to S members is one (S*G) x d matrix stored
 # member-major: row s*G + g is member s of set g. An optional S x G boolean
 # mask marks the real members; padded rows are ignored, and set_attention
-# returns them as zero rows.
+# returns them as zero rows. The per-set products run on G x S x d strided
+# views of these rows (_group_major) and write their results through such a
+# view into a member-major buffer, so no step copies between the layouts.
 # ---------------------------------------------------------------------------
 
 def _set_shape(a, groups, mask, op):
@@ -390,17 +404,17 @@ def _group_major(x, size, groups):
     return x.reshape(size, groups, -1).transpose(1, 0, 2)
 
 
-def _member_major(x):
-    """G x S x d back to contiguous (S*G) x d member-major rows."""
-    return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, x.shape[2])
-
-
 def set_attention(h, w_k, w_q, groups=1, mask=None):
     """One self-attention layer applied to every set of a batch.
 
     Within a set, member rows become softmax((H Wk)(H Wq)^T / sqrt(d)) H:
     there is no value projection and no residual path, so the softmax
     weights recombine the raw member rows. Padded members get zero weight.
+
+    The logits are taken in the bilinear form (H M) H^T with M = Wk Wq^T,
+    which is the same algebra with another rounding: the forward runs one
+    (S*G) x d x d product, and the backward one for dM = H^T d(HM) and one
+    for the input gradient d(HM) M^T, with dWk = dM Wq and dWq = dM^T Wk.
     """
     for w in (w_k, w_q):
         _binary_preflight(h, w, "set_attention")
@@ -409,35 +423,47 @@ def set_attention(h, w_k, w_q, groups=1, mask=None):
         raise ShapeError(f"set_attention: weights {w_k.shape}, {w_q.shape} for width {d}")
     size, groups, mask = _set_shape(h, groups, mask, "set_attention")
     scale = math.sqrt(float(d))
+    m = w_k.value @ w_q.value.T
+    hm = h.value @ m
     x = _group_major(h.value, size, groups)
-    keys = _group_major(h.value @ w_k.value, size, groups)
-    queries = _group_major(h.value @ w_q.value, size, groups)
-    logits = (keys @ queries.transpose(0, 2, 1)) / scale
+    hm_sets = _group_major(hm, size, groups)
+    logits = hm_sets @ x.transpose(0, 2, 1)
+    logits /= scale
     if mask is not None:
-        logits = np.where(mask.T[:, None, :], logits, -np.inf)
+        np.copyto(logits, -np.inf, where=~mask.T[:, None, :])
     p = kernels.softmax_rows(logits.reshape(-1, size)).reshape(groups, size, size)
-    out = p @ x
+    out = np.empty_like(h.value)
+    np.matmul(p, x, out=_group_major(out, size, groups))
     if mask is not None:
-        out *= mask.T[:, :, None]
+        out *= mask.reshape(-1, 1)
 
     def rule(g):
-        g = _group_major(g, size, groups)
         if mask is not None:
-            g = g * mask.T[:, :, None]
-        dp = g @ x.transpose(0, 2, 1)
+            g = g * mask.reshape(-1, 1)
+        g_sets = _group_major(g, size, groups)
+        dp = g_sets @ x.transpose(0, 2, 1)
         dl = kernels.softmax_rows_grad(p.reshape(-1, size), dp.reshape(-1, size))
-        dl = dl.reshape(groups, size, size) / scale
-        d_keys = _member_major(dl @ queries)
-        d_queries = _member_major(dl.transpose(0, 2, 1) @ keys)
-        if w_k.requires_grad:
-            _accum(w_k, h.value.T @ d_keys)
-        if w_q.requires_grad:
-            _accum(w_q, h.value.T @ d_queries)
+        dl = dl.reshape(groups, size, size)
+        dl /= scale
+        d_hm = np.empty_like(hm)
+        np.matmul(dl, x, out=_group_major(d_hm, size, groups))
+        if w_k.requires_grad or w_q.requires_grad:
+            d_m = h.value.T @ d_hm
+            if w_k.requires_grad:
+                _accum(w_k, d_m @ w_q.value)
+            if w_q.requires_grad:
+                _accum(w_q, d_m.T @ w_k.value)
         if h.requires_grad:
-            d_x = _member_major(p.transpose(0, 2, 1) @ g)
-            _accum(h, d_x + d_keys @ w_k.value.T + d_queries @ w_q.value.T)
+            d_h = d_hm @ m.T
+            part = np.empty_like(d_h)
+            part_sets = _group_major(part, size, groups)
+            np.matmul(p.transpose(0, 2, 1), g_sets, out=part_sets)
+            d_h += part
+            np.matmul(dl.transpose(0, 2, 1), hm_sets, out=part_sets)
+            d_h += part
+            _accum(h, d_h)
 
-    return _make(_member_major(out), (h, w_k, w_q), rule, "set_attention")
+    return _make(out, (h, w_k, w_q), rule, "set_attention")
 
 
 def group_mean(h, groups=1, mask=None):

@@ -123,8 +123,7 @@ def nll_loss(scores, target_sets):
         if idx[0] < 0 or idx[-1] >= n:
             raise IntegrityError("nll_loss: target outside the catalog")
         mask[r, idx] = 1.0
-    picked = nm.mul(nm.log_softmax_rows(scores), nm.constant(mask, scores.dtype))
-    return nm.smul(nm.sum_all(picked), -1.0 / (b * n))
+    return nm.log_softmax_pick(scores, mask, -1.0 / (b * n))
 
 
 def total_loss(views, model, inputs, rng, all_views=None):
@@ -413,8 +412,10 @@ def load_checkpoint(path):
         raise CorpusFormatError(f"{path}: header lacks {', '.join(missing)}")
     try:
         config = config_from_dict(header["config"])
-        cf_k_layers = int(header.get("cf_k_layers", 0))
-    except (TypeError, ValueError, ConfigError, IntegrityError) as exc:
+        cf_k_layers = header.get("cf_k_layers", 0)
+        if type(cf_k_layers) is not int or cf_k_layers < 0:
+            raise ConfigError(f"'cf_k_layers' must be an integer >= 0, got {cf_k_layers!r}")
+    except (ConfigError, IntegrityError) as exc:
         raise CorpusFormatError(f"{path}: bad config or cf_k_layers in header: {exc!r}") from exc
     names = matrix_names(config) + ["cf_item_table"]
     if header["matrices"] != names:

@@ -532,7 +532,12 @@ class TestMalformedCheckpoint:
         lambda header: header["config"].update(l_layers=2),
         lambda header: header["config"].update(d=16),
         lambda header: header.update(cf_k_layers="x"),
-    ], ids=["matrices_not_a_list", "layer_count", "width", "cf_k_layers"])
+        lambda header: header.update(cf_k_layers=2.5),
+        lambda header: header.update(cf_k_layers=True),
+        lambda header: header.update(cf_k_layers="3"),
+        lambda header: header.update(cf_k_layers=-4),
+    ], ids=["matrices_not_a_list", "layer_count", "width", "cf_k_layers", "cf_k_layers_float",
+            "cf_k_layers_bool", "cf_k_layers_string", "cf_k_layers_negative"])
     def test_header_disagreeing_with_payload_exits_2(self, pipeline, tmp_path, edit):
         _, _, data, _, model = pipeline
         err = self.complete_subprocess(data, self.edited(model, tmp_path, edit))

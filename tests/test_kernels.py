@@ -32,6 +32,17 @@ def propagate_step_oracle(u_idx, i_idx, coeff, user_prev, item_prev):
     return user_next, item_next
 
 
+def softmax_rows_oracle(x):
+    """Row softmax with numpy's row reductions, which sum rows of 8 or more
+    pairwise."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_rows_grad_oracle(p, g):
+    return p * (g - (g * p).sum(axis=1, keepdims=True))
+
+
 def bpr_stream(seed, length):
     """A stream over few users and items, so rows repeat within a few updates,
     with every fifth update a ``pos == neg`` give-up."""
@@ -121,3 +132,31 @@ def test_propagate_zero_edges():
     un, it = kernels.propagate_step(u, u.copy(), coeff, user, item)
     assert (un == 0).all() and (it == 0).all()
     assert un.dtype == user.dtype and it.dtype == item.dtype
+
+
+def softmax_inputs(width, dtype):
+    """Logits with a -inf (a padded set member) in some rows, never a whole row."""
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=(300, width)) * 10
+    if width > 1:
+        x[rng.random(300) < 0.3, rng.integers(1, width)] = -np.inf
+    return x.astype(dtype), rng.normal(size=(300, width)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", range(1, 8))
+def test_softmax_rows_bits_match_row_reductions(width, dtype):
+    x, g = softmax_inputs(width, dtype)
+    p = kernels.softmax_rows(x)
+    assert p.dtype == dtype
+    assert p.tobytes() == softmax_rows_oracle(x).tobytes()
+    assert kernels.softmax_rows_grad(p, g).tobytes() == softmax_rows_grad_oracle(p, g).tobytes()
+
+
+@pytest.mark.parametrize("width", [8, 10, 33])
+def test_softmax_rows_wide_rows_match_pairwise_sums(width):
+    x, g = softmax_inputs(width, np.float64)
+    p = kernels.softmax_rows(x)
+    np.testing.assert_allclose(p, softmax_rows_oracle(x), rtol=1e-14, atol=1e-300)
+    np.testing.assert_allclose(kernels.softmax_rows_grad(p, g), softmax_rows_grad_oracle(p, g),
+                               rtol=1e-12, atol=1e-14)

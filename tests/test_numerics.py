@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import bundlecraft.numerics as nm
+from bundlecraft import kernels
 from bundlecraft.errors import DegenerateVectorError, GraphError, NonFiniteError, ShapeError
 
 from conftest import numeric_grad, rel_err
+from test_kernels import softmax_rows_grad_oracle, softmax_rows_oracle
 
 F64 = np.float64
 
@@ -42,32 +46,27 @@ class TestMatmul:
 
 
 class TestSoftmaxRows:
+    """The row softmax kernel set_attention runs, and its backward."""
+
     def test_uniform_on_constant_row(self):
-        out = nm.softmax_rows(nm.constant([[0.0, 0.0, 0.0]], F64))
-        np.testing.assert_allclose(out.value, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
+        out = kernels.softmax_rows(np.zeros((1, 3)))
+        np.testing.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
     def test_analytic_two_logits(self):
-        out = nm.softmax_rows(nm.constant([[np.log(2.0), 0.0]], F64))
-        np.testing.assert_allclose(out.value, [[2 / 3, 1 / 3]], atol=1e-15)
+        out = kernels.softmax_rows(np.array([[np.log(2.0), 0.0]]))
+        np.testing.assert_allclose(out, [[2 / 3, 1 / 3]], atol=1e-15)
 
     def test_rows_sum_to_one_extreme_inputs(self, rng):
         x = rng.uniform(-50, 50, size=(40, 7))
-        out = nm.softmax_rows(nm.constant(x, F64))
-        np.testing.assert_allclose(out.value.sum(axis=1), 1.0, atol=1e-12)
+        out = kernels.softmax_rows(x)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
     def test_jvp_matches_finite_differences(self, rng):
-        x = nm.parameter(rng.normal(size=(3, 5)), F64)
+        x = rng.normal(size=(3, 5))
         w = rng.normal(size=(3, 5))
-
-        loss = nm.sum_all(nm.mul(nm.softmax_rows(x), nm.constant(w, F64)))
-        nm.backward(loss)
-
-        def f():
-            p = nm.softmax_rows(nm.constant(x.value, F64))
-            return nm.sum_all(nm.mul(p, nm.constant(w, F64))).item()
-
-        num = numeric_grad(f, x.value, h=1e-6)
-        assert rel_err(x.adjoint, num) < 1e-6
+        got = kernels.softmax_rows_grad(kernels.softmax_rows(x), w)
+        num = numeric_grad(lambda: float((kernels.softmax_rows(x) * w).sum()), x, h=1e-6)
+        assert rel_err(got, num) < 1e-6
 
 
 class TestMeanRows:
@@ -200,7 +199,7 @@ def test_graph_evaluation_deterministic(rng):
     def build():
         a = nm.constant(x, F64)
         b = nm.constant(w, F64)
-        out = nm.group_mean(nm.softmax_rows(nm.matmul(a, b)))
+        out = nm.group_mean(nm.log_softmax_rows(nm.matmul(a, b)))
         return out.value.tobytes()
 
     assert build() == build()
@@ -228,8 +227,8 @@ def _op_cases(rng):
         ("sdiv", lambda p: nm.sum_all(nm.sdiv(p, 3.1)), a),
         ("matmul", lambda p: nm.sum_all(nm.matmul(p, nm.constant(m2, F64))), a),
         ("transpose", lambda p: nm.sum_all(nm.mul(nm.transpose(p), nm.constant(b.T.copy(), F64))), a),
-        ("softmax", lambda p: nm.sum_all(nm.mul(nm.softmax_rows(p), nm.constant(b, F64))), a),
         ("log_softmax", lambda p: nm.sum_all(nm.mul(nm.log_softmax_rows(p), nm.constant(b, F64))), a),
+        ("log_softmax_pick", lambda p: nm.log_softmax_pick(p, (b > 0).astype(F64), -0.3), a),
         ("mean_all", lambda p: nm.mean_all(nm.mul(p, p)), a),
         ("normalize", lambda p: nm.sum_all(nm.mul(nm.normalize_rows(p), nm.constant(b, F64))), a),
         ("vconcat", lambda p: nm.sum_all(nm.mul(nm.vconcat([p, p]), nm.constant(np.vstack([b, b]), F64))), a),
@@ -371,3 +370,71 @@ class TestSetOps:
         nm.backward(nm.sum_all(out))
         np.testing.assert_array_equal(on.adjoint, np.repeat(mask[:, None], 3, axis=1) * 1.0)
         np.testing.assert_array_equal(off.adjoint, np.repeat(~mask[:, None], 3, axis=1) * 1.0)
+
+
+def set_attention_oracle(h, w_k, w_q, groups, mask, g):
+    """``set_attention`` with keys and queries projected apart and the per-set
+    products copied back to member-major rows, as numpy arrays. Returns the
+    output and the gradients of sum(out * g) for h, w_k and w_q."""
+    size, d = h.shape[0] // groups, h.shape[1]
+    scale = np.sqrt(float(d))
+
+    def sets(a):
+        return a.reshape(size, groups, -1).transpose(1, 0, 2)
+
+    def rows(a):
+        return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(-1, d)
+
+    x, keys, queries, g = sets(h), sets(h @ w_k), sets(h @ w_q), sets(g)
+    logits = (keys @ queries.transpose(0, 2, 1)) / scale
+    if mask is not None:
+        logits = np.where(mask.T[:, None, :], logits, -np.inf)
+    p = softmax_rows_oracle(logits.reshape(-1, size)).reshape(groups, size, size)
+    out = p @ x
+    if mask is not None:
+        out *= mask.T[:, :, None]
+        g = g * mask.T[:, :, None]
+    dp = g @ x.transpose(0, 2, 1)
+    dl = softmax_rows_grad_oracle(p.reshape(-1, size), dp.reshape(-1, size))
+    dl = dl.reshape(groups, size, size) / scale
+    d_keys = rows(dl @ queries)
+    d_queries = rows(dl.transpose(0, 2, 1) @ keys)
+    d_x = rows(p.transpose(0, 2, 1) @ g)
+    return rows(out), d_x + d_keys @ w_k.T + d_queries @ w_q.T, h.T @ d_keys, h.T @ d_queries
+
+
+class TestSetAttentionOracle:
+    """The bilinear form against separately projected keys and queries."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 2e-6)])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("size", [1, 3, 10])
+    def test_value_and_gradients(self, size, masked, dtype, tol):
+        rng = np.random.default_rng(10 * size + masked)
+        groups, d = 40, 8
+        if masked:
+            sizes = rng.integers(1, size + 1, groups)
+            sizes[0] = size
+            _, x, mask = padded_batch(rng, sizes, d, scatter=True)
+        else:
+            x, mask = rng.normal(size=(size * groups, d)), None
+        w_k, w_q = rng.normal(size=(2, d, d)) / np.sqrt(d)
+        g = rng.normal(size=x.shape)
+        arrays = [a.astype(dtype) for a in (x, w_k, w_q)]
+        want = set_attention_oracle(*arrays, groups, mask, g.astype(dtype))
+
+        def check(got, want):
+            assert got.dtype == dtype and got.shape == want.shape
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+        for grads in itertools.product([False, True], repeat=3):
+            leaves = [nm.parameter(a, dtype) if r else nm.constant(a, dtype)
+                      for a, r in zip(arrays, grads)]
+            out = nm.set_attention(*leaves, groups, mask)
+            check(out.value, want[0])
+            nm.backward(nm.sum_all(nm.mul(out, nm.constant(g, dtype))))
+            for leaf, takes_grad, grad in zip(leaves, grads, want[1:]):
+                if takes_grad:
+                    check(leaf.adjoint, grad)
+                else:
+                    assert leaf.adjoint is None

@@ -1,9 +1,12 @@
 """The benchmark's tracer rebinds package names by attribute; every name it
-wraps must exist in the package and come back unchanged afterwards."""
+wraps must exist in the package and come back unchanged afterwards, and the
+package must reach its kernels through those names."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import bundlecraft
 import bundlecraft.cli  # noqa: F401  (binds names the tracer rebinds too)
@@ -44,3 +47,42 @@ def test_tracer_installs_and_restores_every_binding():
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
     assert kernels.ACTIVE == "numpy"
+
+
+def test_traced_total_loss_records_the_fused_ops_kernels(tmp_path):
+    """set_attention and the NLL node call the softmax kernels through the
+    ``kernels`` module, so a traced loss and backward record their spans.
+    Contrastive terms are off: the NLL is the only log-softmax."""
+    from bundlecraft import corpus, numerics
+    from bundlecraft.cf_pretrain import pretrain
+    from bundlecraft.config import load_config, train_config
+    from bundlecraft.item_encoder import build_item_inputs
+    from bundlecraft.synth import SynthSpec, generate
+
+    generate(SynthSpec(n_items=40, n_users=12, n_bundles=10, n_topics=2, feature_dim=6,
+                       bundle_size_min=3, bundle_size_max=5, seed=3), tmp_path)
+    catalog, features, graph = corpus.load_dir(tmp_path)
+    rng = np.random.default_rng(3)
+    cf = pretrain(graph, d=4, k_layers=1, epochs=1, lr=0.05, neg_samples=1, rng=rng)
+    config = train_config(load_config(None, ["model.d=8", "train.alpha1=0", "train.alpha2=0"]))
+    bundles = range(catalog.n_bundles)
+    inputs = build_item_inputs(catalog, features, cf, graph, corpus.warm_items(catalog, bundles))
+    model = trainer.init_model(catalog.n_items, features.dim, cf, config, rng)
+    views = [corpus.sample_partial(catalog.bundles[b], 0.5, rng, bundle_index=b) for b in bundles]
+
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        spans.install_all(tracer, bundlecraft)
+        loss, _ = trainer.total_loss(views, model, inputs, rng)
+        numerics.backward(loss)
+    finally:
+        tracer.uninstall()
+    calls = {}
+    for name, *_ in tracer.spans:
+        calls[name] = calls.get(name, 0) + 1
+    attention_layers = config.l_layers + config.z_layers
+    assert calls["kernels.softmax_rows"] == attention_layers
+    assert calls["kernels.softmax_rows_grad"] == attention_layers
+    assert calls["kernels.log_softmax_rows"] == 1
+    assert calls["kernels.log_softmax_rows_grad"] == 1

@@ -110,6 +110,28 @@ class TestNllLoss:
             want = sum(nll_oracle(row, t) for row, t in zip(scores, target_sets)) / b
             assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_node_matches_the_op_composition(self, rng, dtype):
+        """The fused node against log-softmax, a constant mask, mul, sum_all
+        and smul: the same value and gradient bits."""
+        for _ in range(20):
+            b, n = int(rng.integers(1, 7)), int(rng.integers(2, 300))
+            scores = (rng.normal(size=(b, n)) * 4).astype(dtype)
+            target_sets = [set(rng.choice(n, size=int(rng.integers(1, min(n, 9))),
+                                          replace=False).tolist()) for _ in range(b)]
+            mask = np.zeros((b, n), dtype=dtype)
+            for r, targets in enumerate(target_sets):
+                mask[r, sorted(targets)] = 1.0
+            fused_in, parts_in = nm.parameter(scores, dtype), nm.parameter(scores, dtype)
+            fused = tr.nll_loss(fused_in, target_sets)
+            picked = nm.mul(nm.log_softmax_rows(parts_in), nm.constant(mask, dtype))
+            parts = nm.smul(nm.sum_all(picked), -1.0 / (b * n))
+            assert fused.parents == (fused_in,)
+            assert fused.value.dtype == dtype and fused.value.tobytes() == parts.value.tobytes()
+            for root in (fused, parts):
+                nm.backward(nm.smul(root, 1.7))
+            assert fused_in.adjoint.tobytes() == parts_in.adjoint.tobytes()
+
     @pytest.mark.parametrize("target_sets", [[{0}, set()], [{0}, {4}], [{-1}, {1}], [{0}]])
     def test_bad_target_sets_rejected(self, target_sets):
         with pytest.raises((IntegrityError, ShapeError)):
