@@ -128,8 +128,9 @@ def pretrain(graph, d, k_layers, epochs, lr, neg_samples, rng, reg=1e-4):
 
     With zero edges training is skipped and the untrained layer-0
     initialization is exported directly (there is nothing to propagate).
-    Same rng seed, same result, bit for bit. Logs one line per epoch; raises
-    ``NonFiniteError`` as soon as an epoch leaves a non-finite layer-0 value.
+    Same rng seed, same result, bit for bit. Logs one line per epoch and one
+    for propagation; raises ``NonFiniteError`` as soon as an epoch leaves a
+    non-finite layer-0 value.
     """
     _check_settings(d, k_layers, epochs, lr, neg_samples, reg)
     m, n = graph.n_users, graph.n_items
@@ -164,7 +165,10 @@ def pretrain(graph, d, k_layers, epochs, lr, neg_samples, rng, reg=1e-4):
             log.warning("cf epoch %d: %d negatives are observed pairs after %d redraws "
                         "(users adjacent to nearly every item)", epoch, give_ups, MAX_REDRAWS)
 
+    t0 = time.perf_counter()
     layers = propagate(user0, item0, graph, k_layers)
+    log.info("cf propagation: K=%d over %d edges, %.3f s",
+             k_layers, graph.n_edges, time.perf_counter() - t0)
     users, items = aggregate_layers(layers)
     return CfEmbeddings(
         user_table=users.astype(np.float32),

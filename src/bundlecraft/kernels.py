@@ -1,10 +1,11 @@
-"""Hot numeric kernels, in numpy.
+"""Hot numeric kernels, in numpy, with scipy.sparse for graph propagation.
 
 Dense matrix products are left to BLAS on purpose; only genuinely
-loop-shaped work lives here (row softmax passes, edge scatter propagation,
-the pairwise-ranking SGD sweep, applied as batched runs of updates that
-touch no row twice). Given the same inputs each kernel always produces the
-same bits.
+loop-shaped work lives here (row softmax passes, the pairwise-ranking SGD
+sweep, applied as batched runs of updates that touch no row twice) and graph
+propagation, which is one sparse matrix product per side: a CSR adjacency
+built from the edge list, times the dense table, through ``scipy.sparse``.
+Given the same inputs each kernel always produces the same bits.
 
 ``softmax_rows`` and its backward serve set attention, whose rows are set
 sizes: 3 slots per item, the largest seed set per bundle. Their row max and
@@ -70,10 +71,12 @@ def propagate_step(u_idx, i_idx, coeff, user_prev, item_prev):
     ``coeff * user_prev[u]`` into the next item table. Zero-degree rows stay
     zero (empty neighbor sum).
 
-    Each side is one ``np.bincount`` over flattened ``row * d + col`` cells.
-    It sums in edge order in float64, so float64 tables are bit-identical to
-    an edge-by-edge ``np.add.at``; float32 tables are the float64 sums
-    rounded once. The result keeps the input dtype.
+    Each side is one CSR matrix times the source table, in float64. Each
+    destination row adds its edge products in edge order, starting from
+    zero, as an edge-by-edge ``np.add.at`` does: float64 tables are
+    bit-identical to it, and float32 tables are that ``np.add.at`` on the
+    upcast inputs (every product exact), rounded once. The result keeps the
+    input dtype.
     """
     return (_edge_sum(u_idx, i_idx, coeff, item_prev, user_prev),
             _edge_sum(i_idx, u_idx, coeff, user_prev, item_prev))
@@ -81,13 +84,28 @@ def propagate_step(u_idx, i_idx, coeff, user_prev, item_prev):
 
 def _edge_sum(dst, src, coeff, table, like):
     """``out[dst[e]] += coeff[e] * table[src[e]]`` for every edge e, into
-    zeros shaped and typed like ``like``."""
-    values = table[src]
-    values *= coeff[:, None]
-    d = like.shape[1]
-    cells = (dst[:, None] * d + np.arange(d)).ravel()
-    out = np.bincount(cells, weights=values.ravel(), minlength=like.size)
-    return out.reshape(like.shape).astype(like.dtype, copy=False)
+    zeros shaped and typed like ``like``.
+
+    The CSR arrays are built here, not through COO: scipy's COO to CSR
+    conversion sorts each row's columns and merges repeated edges, which
+    would reorder the sum. Sorting by destination, then edge, keeps each
+    row's edges in edge order, and scipy's CSR times dense product adds them
+    in that order.
+    """
+    # imported on first use: scipy.sparse adds ~22 MB to the resident set,
+    # and only pretraining propagates
+    from scipy.sparse import csr_matrix
+
+    # the keys are distinct, so numpy's quicksort gives the stable order,
+    # about 3x faster than a stable sort of ``dst`` on unsorted edges
+    e = dst.shape[0]
+    order = np.argsort(dst.astype(np.int64, copy=False) * e + np.arange(e))
+    indptr = np.zeros(like.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=like.shape[0]), out=indptr[1:])
+    adj = csr_matrix((coeff[order].astype(np.float64, copy=False), src[order], indptr),
+                     shape=(like.shape[0], table.shape[0]))
+    out = adj @ table.astype(np.float64, copy=False)
+    return out.astype(like.dtype, copy=False)
 
 
 def _previous_touch(keys, rows):

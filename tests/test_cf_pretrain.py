@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +191,16 @@ class TestPretrain:
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 3 and all(f" {n * 2} negatives" in w for w in warnings)
 
+    def test_logs_one_propagation_line(self, caplog):
+        g = graph_of([(0, 0), (0, 1), (1, 2), (2, 2)], 3, 3)
+        with caplog.at_level("INFO", logger="bundlecraft.cf_pretrain"):
+            cf.pretrain(g, d=4, k_layers=3, epochs=2, lr=0.05, neg_samples=1,
+                        rng=np.random.default_rng(4))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.levelname == "INFO" and r.getMessage().startswith("cf propagation")]
+        assert len(lines) == 1
+        assert re.fullmatch(r"cf propagation: K=3 over 4 edges, \d+\.\d{3} s", lines[0])
+
     # out-of-range values reach pretrain through the CLI too (tests/test_cli.py);
     # these types only through the Python API
     @pytest.mark.parametrize("setting", [dict(d=2.0), dict(k_layers=True), dict(lr="0.1")])
@@ -236,3 +250,46 @@ class TestCheckpoint:
         (tmp_path / "x.ckpt").write_bytes(b"XXXX" + b"\x00" * 24)
         with pytest.raises(CorpusFormatError):
             cf.load_cf(tmp_path / "x.ckpt")
+
+
+# Run in a fresh interpreter, after a CF table is saved. Training and serving
+# load it and never propagate, so they must not pay scipy.sparse's memory.
+SCIPY_PROBE = """
+import sys
+import numpy as np
+import bundlecraft.cli
+from bundlecraft import corpus
+from bundlecraft.cf_pretrain import load_cf, pretrain
+from bundlecraft.config import load_config, train_config
+from bundlecraft.evaluation import make_scorer
+from bundlecraft.item_encoder import build_item_inputs
+from bundlecraft.trainer import fit
+
+data, cf_path = sys.argv[1:]
+catalog, features, graph = corpus.load_dir(data)
+cf = load_cf(cf_path)
+config = train_config(load_config(None, ["model.d=8", "train.epochs=1"]))
+model = fit(catalog, features, graph, cf, config).model
+inputs = build_item_inputs(catalog, features, cf, graph, corpus.warm_items(catalog, range(4)))
+make_scorer(model, inputs)(np.array([0, 1]))
+print("scipy" in sys.modules)
+pretrain(graph, d=4, k_layers=1, epochs=1, lr=0.05, neg_samples=1, rng=np.random.default_rng(0))
+print("scipy" in sys.modules)
+"""
+
+
+def test_only_propagation_imports_scipy(tmp_path):
+    from bundlecraft import corpus
+    from bundlecraft.synth import SynthSpec, generate
+
+    generate(SynthSpec(n_items=40, n_users=12, n_bundles=10, n_topics=2, feature_dim=6,
+                       bundle_size_min=3, bundle_size_max=5, seed=3), tmp_path)
+    _, _, graph = corpus.load_dir(tmp_path)
+    cf.save_cf(tmp_path / "cf.bin", cf.pretrain(graph, d=4, k_layers=1, epochs=1, lr=0.05,
+                                                neg_samples=1, rng=np.random.default_rng(3)))
+    package = Path(cf.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(package), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path), str(tmp_path / "cf.bin")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

@@ -111,16 +111,31 @@ def test_propagate_step_matches_add_at(seed, dtype):
     if dtype is np.float64:
         want = propagate_step_oracle(u_idx, i_idx, coeff, user, item)
     else:
-        # the same float32 edge products, summed in float64 and rounded once
-        w = coeff[:, None]
-        want = [np.zeros(t.shape) for t in (user, item)]
-        np.add.at(want[0], u_idx, (w * item[i_idx]).astype(np.float64))
-        np.add.at(want[1], i_idx, (w * user[u_idx]).astype(np.float64))
-        want = [t.astype(np.float32) for t in want]
+        # the inputs upcast, so each edge product is exact, summed in float64
+        # in edge order and rounded once
+        up = [a.astype(np.float64) for a in (coeff, user, item)]
+        want = [t.astype(np.float32) for t in propagate_step_oracle(u_idx, i_idx, *up)]
         for g, o in zip(got, propagate_step_oracle(u_idx, i_idx, coeff, user, item)):
             np.testing.assert_allclose(g, o, rtol=1e-5, atol=1e-5)
     for g, w in zip(got, want):
         assert g.dtype == dtype
+        np.testing.assert_array_equal(g, w)
+
+
+def test_propagate_step_long_shuffled_rows_match_add_at():
+    """Item rows of about a hundred edges, with repeats, in no particular
+    order, still sum in edge order."""
+    rng = np.random.default_rng(17)
+    m, n, d, e = 3000, 200, 5, 20000
+    u_idx = rng.integers(0, m, e)
+    i_idx = rng.integers(0, n, e)
+    coeff = rng.uniform(0.01, 1.0, e)
+    user = rng.normal(size=(m, d))
+    item = rng.normal(size=(n, d))
+    got = kernels.propagate_step(u_idx, i_idx, coeff, user, item)
+    want = propagate_step_oracle(u_idx, i_idx, coeff, user, item)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64
         np.testing.assert_array_equal(g, w)
 
 
