@@ -6,10 +6,13 @@ L2 decay), then propagated through symmetric degree-normalized graph layers
 and aggregated by a true mean over layers 0..K. The exported item vectors
 are frozen inputs to the bundle model and are never updated by it.
 
-The ranking updates are applied in batched runs that touch no row twice and
-negatives are drawn for a whole epoch at once, so CF checkpoints differ from
-those written by the earlier per-update loop at the same seed; the same seed
-still writes the same bytes.
+The ranking updates are applied in dependency waves, each a batch of
+updates that share no row and see every earlier update to their rows, in an
+in-place form that rounds differently from the textbook update in the last
+place (a few float32 CF values move by one ulp). Negatives are drawn for a
+whole epoch at once. So CF checkpoints differ from those written by the
+earlier per-update loop at the same seed; the same seed still writes the
+same bytes.
 
 Checkpoint format: magic ``CFE1``, u32 LE version, u32 LE M, N, d >= 1, K,
 then the user and item tables as float32 LE values row-major and nothing
@@ -150,17 +153,17 @@ def pretrain(graph, d, k_layers, epochs, lr, neg_samples, rng, reg=1e-4):
         order = rng.permutation(graph.n_edges)
         us = graph.user_idx[order]
         pos = graph.item_idx[order]
-        redrawn = give_ups = 0
+        waves = redrawn = give_ups = 0
         for _ in range(neg_samples):
             neg, r, g = _sample_negatives(us, edge_keys, n, rng)
             redrawn += r
             give_ups += g
-            kernels.bpr_epoch(user0, item0, us, pos, neg, float(lr), float(reg))
+            waves += kernels.bpr_epoch(user0, item0, us, pos, neg, float(lr), float(reg))
         if not (np.isfinite(user0).all() and np.isfinite(item0).all()):
             raise NonFiniteError(f"cf pretraining diverged in epoch {epoch}: non-finite "
                                  f"embeddings (lr={lr}, reg={reg})")
-        log.info("cf epoch %d/%d: %.3f s, %d negatives redrawn, %d give-ups",
-                 epoch, epochs, time.perf_counter() - t0, redrawn, give_ups)
+        log.info("cf epoch %d/%d: %.3f s, %d waves, %d negatives redrawn, %d give-ups",
+                 epoch, epochs, time.perf_counter() - t0, waves, redrawn, give_ups)
         if give_ups:
             log.warning("cf epoch %d: %d negatives are observed pairs after %d redraws "
                         "(users adjacent to nearly every item)", epoch, give_ups, MAX_REDRAWS)

@@ -2,10 +2,16 @@
 
 Dense matrix products are left to BLAS on purpose; only genuinely
 loop-shaped work lives here (row softmax passes, the pairwise-ranking SGD
-sweep, applied as batched runs of updates that touch no row twice) and graph
-propagation, which is one sparse matrix product per side: a CSR adjacency
-built from the edge list, times the dense table, through ``scipy.sparse``.
-Given the same inputs each kernel always produces the same bits.
+sweep) and graph propagation, which is one sparse matrix product per side: a
+CSR adjacency built from the edge list, times the dense table, through
+``scipy.sparse``. Given the same inputs each kernel always produces the same
+bits.
+
+The SGD sweep is applied in dependency waves: an update joins the wave after
+the latest earlier update that shares a row with it, and each wave is one
+gathered, in-place update of rows that no other update in it touches. That
+is the sequential sweep's order of row updates, with the last-place
+rounding of the in-place form (``bpr_epoch``).
 
 ``softmax_rows`` and its backward serve set attention, whose rows are set
 sizes: 3 slots per item, the largest seed set per bundle. Their row max and
@@ -108,69 +114,99 @@ def _edge_sum(dst, src, coeff, table, like):
     return out.astype(like.dtype, copy=False)
 
 
-def _previous_touch(keys, rows):
-    """For each event ``(keys[e], rows[e])``, the latest earlier row with the
-    same key, or -1. Events of one row never count against each other."""
-    prev = np.full(keys.shape[0], -1, dtype=np.int64)
-    # rows < len(keys), so sorting key * len(keys) + row orders by key, then row
-    order = np.argsort(keys * keys.shape[0] + rows)
-    k, r = keys[order], rows[order]
-    linked = (k[1:] == k[:-1]) & (r[1:] != r[:-1])
-    prev[order[1:][linked]] = r[:-1][linked]
-    return prev
+def _dependency_waves(us, pos, neg):
+    """Schedule the updates ``(us[n], pos[n], neg[n])`` in dependency waves.
 
+    An update's wave is one more than the latest wave among the earlier
+    updates that share its user row or one of its item rows (``pos`` and
+    ``neg`` share one item namespace; an update never depends on itself).
+    Returns ``order``, the update indices wave by wave, and ``bounds``, with
+    wave ``w`` at ``order[bounds[w]:bounds[w + 1]]``.
 
-def _conflict_free_runs(us, pos, neg):
-    """Boundaries ``[0, b1, ..., n]`` of the maximal consecutive runs of
-    updates in which no user row and no item row repeats.
-
-    ``pos`` and ``neg`` share one item namespace. A run ends just before the
-    first update that touches a row an earlier update of the run touched.
+    Each update links to the next update that touches each of its rows, so
+    a row's updates form a chain in stream order; the waves are the
+    frontiers of a topological sort of those links.
     """
     n = us.shape[0]
-    rows = np.arange(n)
-    items = _previous_touch(np.concatenate([pos, neg]), np.concatenate([rows, rows]))
-    last = np.maximum(_previous_touch(us, rows), np.maximum(items[:n], items[n:]))
-    bounds = [0]
-    start = 0
-    while start < n:
-        width = 64
-        while True:
-            hit = np.flatnonzero(last[start + 1 : start + 1 + width] >= start)
-            if hit.size:
-                start += 1 + int(hit[0])
-                break
-            if start + 1 + width >= n:
-                start = n
-                break
-            width *= 2
-        bounds.append(start)
-    return bounds
+    # children[k] = the next updates after k on its user row, its pos row
+    # and its neg row, or -1; ``flat`` is its row-major view
+    children = np.full((n, 3), -1, dtype=np.int64)
+    flat = children.ravel()
+    order = np.argsort(us.astype(np.int64, copy=False) * n + np.arange(n))
+    rows = us[order]
+    same = rows[1:] == rows[:-1]
+    flat[3 * order[:-1][same]] = order[1:][same]
+    # item events (n, 2) in update order, pos before neg, so ties sort by update;
+    # event e is update e >> 1 and sits in column 1 + (e & 1)
+    items = np.stack([pos, neg], axis=1).ravel().astype(np.int64, copy=False)
+    order = np.argsort(items * (2 * n) + np.arange(2 * n))
+    rows, update = items[order], order >> 1
+    same = (rows[1:] == rows[:-1]) & (update[1:] != update[:-1])
+    event = order[:-1][same]
+    flat[3 * (event >> 1) + 1 + (event & 1)] = update[1:][same]
+
+    indegree = np.bincount(flat + 1, minlength=n + 1)[1:]
+    front = np.flatnonzero(indegree == 0)
+    tag = np.empty(n, dtype=np.int64)
+    fronts = []
+    while front.size:
+        fronts.append(front)
+        child = children[front].ravel()
+        child = child[child >= 0]
+        np.subtract.at(indegree, child, 1)
+        child = child[indegree[child] == 0]
+        # a child linked twice from this front appears twice: keep one copy
+        slot = np.arange(child.size)
+        tag[child] = slot
+        front = child[tag[child] == slot]
+    bounds = np.zeros(len(fronts) + 1, dtype=np.int64)
+    np.cumsum([f.size for f in fronts], out=bounds[1:])
+    order = np.concatenate(fronts) if fronts else np.zeros(0, dtype=np.int64)
+    return order, bounds
 
 
 def bpr_epoch(user, item, us, pos, neg, lr, reg):
-    """One sweep of pairwise-ranking SGD updates, in place.
+    """One sweep of pairwise-ranking SGD updates, in place; returns the
+    number of dependency waves it applied.
 
     ``us[n]`` interacted with ``pos[n]`` but not with ``neg[n]``; the update
     pushes score(u, pos) above score(u, neg) through a sigmoid link with L2
     weight decay ``reg``.
 
-    The stream is cut into maximal consecutive runs that touch no user row
-    and no item row twice, and each run is applied as one gathered update
-    from the rows as they stood before the run. Rows within a run are
-    disjoint, so this is the sequential sweep, not a racing one: only the
-    rounding of the dot products differs. Within an update the item writes
-    go ``pos`` then ``neg``, so an update with ``pos == neg`` keeps the
-    ``neg`` write.
+    The stream is scheduled in dependency waves (``_dependency_waves``) and
+    each wave is applied as one gathered update. No row repeats within a
+    wave, each row's updates apply in stream order, and each update reads
+    its rows as the updates before it left them: this is the sequential
+    sweep, not a racing one. The update is written as in-place ufuncs,
+    ``pu = c*pu + g*(pi - pj)``, ``pi = c*pi + g*pu``, ``pj = c*pj - g*pu``
+    with ``g = lr*sigmoid(-x)`` and ``c = 1 - lr*reg``, which rounds
+    differently from the textbook form ``p + lr*(grad - reg*p)`` in the last
+    place. Within an update the item writes go ``pos`` then ``neg``, so an
+    update with ``pos == neg`` keeps the ``neg`` write.
     """
-    bounds = _conflict_free_runs(us, pos, neg)
-    for a, b in zip(bounds[:-1], bounds[1:]):
+    order, bounds = _dependency_waves(us, pos, neg)
+    us, pos, neg = us[order], pos[order], neg[order]
+    c = 1.0 - lr * reg
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         u, i, j = us[a:b], pos[a:b], neg[a:b]
         pu, pi, pj = user[u], item[i], item[j]
         diff = pi - pj
         x = np.einsum("ij,ij->i", pu, diff)
+        # g = lr * sigmoid(-x), as e / (1 + e) or 1 / (1 + e) with e = exp(-|x|)
         e = np.exp(-np.abs(x))
-        s = np.where(x >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))[:, None]
-        user[u] = pu + lr * (s * diff - reg * pu)
-        item[i] = pi + lr * (s * pu - reg * pi)
-        item[j] = pj + lr * (-s * pu - reg * pj)
+        g = np.where(x >= 0.0, e, 1.0)
+        g /= 1.0 + e
+        g *= lr
+        g = g[:, None]
+        diff *= g
+        step = g * pu
+        pu *= c
+        pu += diff
+        pi *= c
+        pi += step
+        pj *= c
+        pj -= step
+        user[u] = pu
+        item[i] = pi
+        item[j] = pj
+    return len(bounds) - 1

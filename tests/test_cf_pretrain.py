@@ -191,6 +191,26 @@ class TestPretrain:
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 3 and all(f" {n * 2} negatives" in w for w in warnings)
 
+    def test_epoch_line_logs_the_kernels_wave_count(self, caplog, monkeypatch):
+        g = graph_of([(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 3)], 3, 5)
+        returned = []
+        bpr_epoch = cf.kernels.bpr_epoch
+
+        def counted(*args):
+            returned.append(bpr_epoch(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(cf.kernels, "bpr_epoch", counted)
+        with caplog.at_level("INFO", logger="bundlecraft.cf_pretrain"):
+            cf.pretrain(g, d=4, k_layers=1, epochs=2, lr=0.05, neg_samples=3,
+                        rng=np.random.default_rng(6))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.levelname == "INFO" and r.getMessage().startswith("cf epoch")]
+        waves = [int(re.fullmatch(r"cf epoch \d/2: \d+\.\d{3} s, (\d+) waves, \d+ negatives "
+                                  r"redrawn, \d+ give-ups", line).group(1)) for line in lines]
+        assert len(returned) == 6 and min(returned) >= 2
+        assert waves == [sum(returned[:3]), sum(returned[3:])]
+
     def test_logs_one_propagation_line(self, caplog):
         g = graph_of([(0, 0), (0, 1), (1, 2), (2, 2)], 3, 3)
         with caplog.at_level("INFO", logger="bundlecraft.cf_pretrain"):

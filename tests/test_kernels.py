@@ -5,7 +5,7 @@ from bundlecraft import kernels
 
 
 def bpr_epoch_oracle(user, item, us, pos, neg, lr, reg):
-    """The per-update loop that ``kernels.bpr_epoch`` batches into runs."""
+    """The per-update loop that ``kernels.bpr_epoch`` applies in waves."""
     for n in range(us.shape[0]):
         u, i, j = us[n], pos[n], neg[n]
         pu = user[u].copy()
@@ -72,23 +72,66 @@ def test_bpr_epoch_matches_loop(seed, length):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 
 
-def test_conflict_free_runs_are_maximal_and_disjoint():
-    _, _, us, pos, neg = bpr_stream(3, 500)
-    bounds = kernels._conflict_free_runs(us, pos, neg)
-    assert bounds[0] == 0 and bounds[-1] == 500
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        users = us[a:b]
-        items = [{int(p), int(q)} for p, q in zip(pos[a:b], neg[a:b])]
-        assert len(set(users.tolist())) == b - a
+def wide_stream(seed):
+    """3000 updates over 1000 users and 5000 items, so the first waves hold
+    hundreds of updates, with every seventh update a ``pos == neg`` give-up."""
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, 1000, 3000)
+    pos = rng.integers(0, 5000, 3000)
+    neg = rng.integers(0, 5000, 3000)
+    neg[::7] = pos[::7]
+    return rng.normal(size=(1000, 16)), rng.normal(size=(5000, 16)), us, pos, neg
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bpr_epoch_wide_waves_match_loop(seed):
+    stream = wide_stream(seed)
+    _, bounds = kernels._dependency_waves(*stream[2:])
+    assert np.diff(bounds).max() >= 300
+    want, got = bpr_pair(stream)
+    for w, g in zip(want, got):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
+def waves_by_loop(us, pos, neg):
+    """Each update's wave, 1-based, by a plain loop over the stream: one more
+    than the latest wave of an earlier update on any of its rows, so the
+    largest is the longest dependency chain."""
+    last_user, last_item, waves = {}, {}, []
+    for u, i, j in zip(us.tolist(), pos.tolist(), neg.tolist()):
+        w = 1 + max(last_user.get(u, 0), last_item.get(i, 0), last_item.get(j, 0))
+        last_user[u] = last_item[i] = last_item[j] = w
+        waves.append(w)
+    return waves
+
+
+@pytest.mark.parametrize("stream", [bpr_stream(s, 500) for s in range(4)] + [wide_stream(0)],
+                         ids=["narrow0", "narrow1", "narrow2", "narrow3", "wide"])
+def test_dependency_waves_are_disjoint_ordered_and_shortest(stream):
+    user, item, us, pos, neg = stream
+    n = us.shape[0]
+    order, bounds = kernels._dependency_waves(us, pos, neg)
+    assert sorted(order.tolist()) == list(range(n))
+    wave = np.empty(n, dtype=np.int64)
+    for w, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        members = order[a:b]
+        wave[members] = w
+        assert np.unique(us[members]).size == members.size
+        items = [{int(p), int(q)} for p, q in zip(pos[members], neg[members])]
         assert sum(len(s) for s in items) == len(set().union(*items))
-        if b < 500:  # the next update conflicts with the run
-            assert us[b] in users or {int(pos[b]), int(neg[b])} & set().union(*items)
+    for k in range(1, n):
+        rows = (us[:k] == us[k]) | np.isin(pos[:k], (pos[k], neg[k])) | np.isin(neg[:k], (pos[k], neg[k]))
+        assert (wave[:k][rows] < wave[k]).all()
+    by_loop = waves_by_loop(us, pos, neg)
+    assert (wave + 1).tolist() == by_loop
+    assert len(bounds) - 1 == max(by_loop)
+    assert kernels.bpr_epoch(user.copy(), item.copy(), us, pos, neg, 0.3, 0.01) == len(bounds) - 1
 
 
-def test_run_split_ignoring_neg_fails_oracle(monkeypatch):
-    # mutation check: a split blind to the neg column must be caught
-    split = kernels._conflict_free_runs
-    monkeypatch.setattr(kernels, "_conflict_free_runs", lambda us, pos, neg: split(us, pos, pos))
+def test_waves_ignoring_neg_fail_oracle(monkeypatch):
+    # mutation check: a schedule blind to the neg column must be caught
+    build = kernels._dependency_waves
+    monkeypatch.setattr(kernels, "_dependency_waves", lambda us, pos, neg: build(us, pos, pos))
     mismatched = 0
     for seed in range(6):
         want, got = bpr_pair(bpr_stream(seed, 400))
