@@ -4,9 +4,11 @@ The same set-attention layer as the item encoder, with its own Z layers,
 runs over each bundle's seed rows, and the bundle vector is their mean. A
 batch of bundles is one member-major node (see the numerics set ops):
 seed sets of different sizes are padded to the largest under a mask, so a
-whole batch is encoded by Z + 1 graph nodes. The result is a set function:
-permuting a bundle's rows permutes the attended rows identically and the
-mean forgets the order.
+whole batch is encoded by Z + 1 graph nodes. Scoring encodes with
+:func:`encode_sets_forward` instead, the same arithmetic on plain arrays,
+which builds no graph and forms each layer's ``Wk Wq^T`` once per model.
+The result is a set function: permuting a bundle's rows permutes the
+attended rows identically and the mean forgets the order.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .item_encoder import attend
+from .errors import ShapeError
 
 
 @dataclass
@@ -35,24 +37,28 @@ def init_bundle_params(d, n_layers, rng, dtype=np.float32):
     return BundleEncoderParams(layers=layers)
 
 
-def gather_members(table, seed_sets):
-    """Gather the seed rows of G bundles from an item ``table`` node.
-
-    Returns the member-major (S*G) x d rows, S being the largest seed set,
-    and the S x G mask of real members, padded slots repeating item 0. The
-    mask is None when no set is padded.
-    """
+def member_index(seed_sets):
+    """The S x G member-major item indices of G seed sets, S being the largest
+    set, and the S x G mask of real members, padded slots repeating item 0.
+    The mask is None when no set is padded."""
     seeds = [sorted(s) for s in seed_sets]
+    if not seeds or not all(seeds):
+        raise ShapeError("an empty seed set, or no seed sets")
     size = max(map(len, seeds))
     if all(len(s) == size for s in seeds):
-        idx = np.array(seeds, dtype=np.int64).T
-        mask = None
-    else:
-        idx = np.zeros((size, len(seeds)), dtype=np.int64)
-        mask = np.zeros((size, len(seeds)), dtype=bool)
-        for g, items in enumerate(seeds):
-            idx[: len(items), g] = items
-            mask[: len(items), g] = True
+        return np.array(seeds, dtype=np.int64).T, None
+    idx = np.zeros((size, len(seeds)), dtype=np.int64)
+    mask = np.zeros((size, len(seeds)), dtype=bool)
+    for g, items in enumerate(seeds):
+        idx[: len(items), g] = items
+        mask[: len(items), g] = True
+    return idx, mask
+
+
+def gather_members(table, seed_sets):
+    """Gather the seed rows of G bundles from an item ``table`` node: the
+    member-major (S*G) x d rows and the mask of :func:`member_index`."""
+    idx, mask = member_index(seed_sets)
     return nm.take_rows(table, idx.reshape(-1)), mask
 
 
@@ -60,7 +66,8 @@ def encode_bundle(member_rows, params, use_attention=True, groups=1, mask=None):
     """Bundle representations, one row per set: the mean of the attended
     member rows of each of the ``groups`` member-major sets."""
     if use_attention:
-        member_rows = attend(member_rows, params.layers, groups, mask)
+        for w_k, w_q in params.layers:
+            member_rows = nm.set_attention(member_rows, w_k, w_q, groups, mask)
     return nm.group_mean(member_rows, groups, mask)
 
 
@@ -68,3 +75,22 @@ def encode_sets(table, seed_sets, params, use_attention=True):
     """One row per seed set: the sets' rows of ``table`` encoded as one padded batch."""
     rows, mask = gather_members(table, seed_sets)
     return encode_bundle(rows, params, use_attention, len(seed_sets), mask)
+
+
+def attention_matrices(params, use_attention=True):
+    """Each layer's ``Wk Wq^T``, for :func:`encode_sets_forward`."""
+    return [w_k.value @ w_q.value.T for w_k, w_q in params.layers] if use_attention else []
+
+
+def encode_sets_forward(table, seed_sets, matrices):
+    """:func:`encode_sets`'s value, bit for bit, from a plain array ``table``
+    and the layers' :func:`attention_matrices`; builds no graph node."""
+    idx, mask = member_index(seed_sets)
+    size, groups = idx.shape
+    h = table[idx.reshape(-1)]
+    for m in matrices:
+        h = nm.attention_forward(h, m, size, groups, mask)[0]
+        nm.check_finite(h, "set attention")
+    e = nm.set_mean(h, size, groups, mask)
+    nm.check_finite(e, "set mean")
+    return e

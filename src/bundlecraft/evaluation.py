@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .bundle_encoder import encode_sets
+from .bundle_encoder import attention_matrices, encode_sets_forward
 from .corpus import corrupt_partial
 from .errors import IntegrityError
-from .item_encoder import attend, encode_item_table, item_slots
+from .item_encoder import attended_slots, encode_item_table
 
 SETTINGS = ("standard", "warm", "sparsify", "noisify")
 
@@ -143,18 +143,16 @@ def evaluate(score_sets, views, k, setting="standard", rate=0.0, rng=None, n_ite
 def _batch_scorer(model, inputs):
     """Encode the catalog once, forward only. Returns N and
     ``score_batch(sorted_seed_lists)``: the G x N scores of G seed lists,
-    encoded as one padded batch and scored by one GEMM."""
+    encoded as one padded batch with no graph and scored by one GEMM."""
     cfg = model.config
     dtype = nm.DTYPES[cfg.precision]
     table = encode_item_table(inputs, model.item_params, cfg.slot_fill, cfg.ablation.use_feedback,
                               cfg.ablation.use_item_attention, dtype).value
-    # a constant leaf, so the sets' gather keeps no catalog graph alive
-    table_node = nm.constant(table, dtype)
     table_t = np.ascontiguousarray(table.T)
-    params, attention = model.bundle_params, cfg.ablation.use_bundle_attention
+    matrices = attention_matrices(model.bundle_params, cfg.ablation.use_bundle_attention)
 
     def score_batch(seed_lists):
-        return encode_sets(table_node, seed_lists, params, attention).value @ table_t
+        return encode_sets_forward(table, seed_lists, matrices) @ table_t
 
     return table.shape[0], score_batch
 
@@ -204,9 +202,8 @@ def explain(model, inputs, bundle_items, bundle_index=-1):
     cfg = model.config
     dtype = nm.DTYPES[cfg.precision]
     items = sorted(bundle_items)
-    n = inputs.n_items
 
-    slots = item_slots(
+    table, slot_values = attended_slots(
         inputs,
         model.item_params,
         slot_fill=cfg.slot_fill,
@@ -214,8 +211,6 @@ def explain(model, inputs, bundle_items, bundle_index=-1):
         use_attention=cfg.ablation.use_item_attention,
         dtype=dtype,
     )
-    table = nm.group_mean(slots, n).value
-    slot_values = slots.value.reshape(-1, n, table.shape[1])
 
     feature_rows = []
     for i in items:
@@ -224,11 +219,11 @@ def explain(model, inputs, bundle_items, bundle_index=-1):
                 {"item": i, "slot": s, "cosine": _np_cosine(sv[i], table[i])}
             )
 
-    attended = nm.constant(table[np.asarray(items, dtype=np.int64)], dtype)
-    if cfg.ablation.use_bundle_attention:
-        attended = attend(attended, model.bundle_params.layers, 1)
-    e = attended.value.mean(axis=0)
+    attended = table[np.asarray(items, dtype=np.int64)]
+    for m in attention_matrices(model.bundle_params, cfg.ablation.use_bundle_attention):
+        attended = nm.attention_forward(attended, m, len(items), 1)[0]
+    e = attended.mean(axis=0)
     bundle_rows = [
-        {"item": i, "cosine": _np_cosine(attended.value[j], e)} for j, i in enumerate(items)
+        {"item": i, "cosine": _np_cosine(attended[j], e)} for j, i in enumerate(items)
     ]
     return {"bundle": bundle_index, "features": feature_rows, "items": bundle_rows}

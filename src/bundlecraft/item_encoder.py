@@ -7,13 +7,17 @@ Missing feedback or id history is slot-filled from the content feature
 through the feedback projection, which requires matching widths).
 
 The encoder works on a batch of items: the whole catalog, or the rows an
-``ItemInputs.take`` restriction keeps. The slots of its N items are stacked
-member-major into one 3N x d node, the sets of the numerics set ops: one
-set per item, one member per slot. L set-attention layers (key/query
-projections only) run over it, and each item's vector is the mean of its
-attended slots. No step mixes items, so encoding a restriction gives
-exactly those rows of the full table. The bundle encoder applies the same
-layer to seed sets.
+``ItemInputs.take`` restriction keeps. Its N x d table is one graph node,
+computed over tiles of about ``TILE_BYTES`` of slot rows, so that a tile's
+arrays stay in cache from the projections to the mean. In a tile of T
+items the slots are stacked member-major into a 3T x d matrix, the sets of
+the numerics set ops: one set per item, one member per slot. L
+set-attention layers (key/query projections only) run over it, and each
+item's vector is the mean of its attended slots. The backward runs over the
+same tiles with the closed-form rules of those ops. No step mixes items, so
+encoding a restriction gives exactly those rows of the full table, and the
+tiling does not change the table's bits. The bundle encoder applies the
+same attention layer to seed sets.
 """
 
 from dataclasses import dataclass
@@ -26,6 +30,10 @@ from .errors import ConfigError, ShapeError
 SLOT_CONTENT, SLOT_FEEDBACK, SLOT_ID = 0, 1, 2
 N_SLOTS = 3
 SLOT_FILLS = ("projected", "raw")
+
+# bytes of slot rows per tile of the table node (3 x d per item; 682 items at
+# d = 32 in float32): a tile's few arrays of this size stay in a 2 MiB L2
+TILE_BYTES = 1 << 18
 
 
 @dataclass
@@ -124,51 +132,181 @@ def build_item_inputs(catalog, features, cf, graph, warm, dtype=np.float32):
     )
 
 
-def attend(h, layers, groups, mask=None):
-    """The L set-attention layers of one encoder level, in order."""
-    for w_k, w_q in layers:
-        h = nm.set_attention(h, w_k, w_q, groups, mask)
-    return h
+def _tiles(n, row_bytes):
+    """Bounds of the fewest near-equal tiles of at most ``TILE_BYTES // row_bytes``
+    rows that cover ``n`` rows.
 
-
-def item_slots(inputs, params, slot_fill="projected", use_feedback=True, use_attention=True,
-               dtype=np.float32):
-    """The attended slot rows of every item as one (S*N) x d node.
-
-    Slot s of item i is row s * N + i; S is 3, or 2 when feedback is off.
-    Modality dropout (``forced_fallback``) replaces a slot by the projected
-    content. Restricted inputs read their id rows of V with one ``take_rows``.
+    Equal shares keep every tile at two or more rows unless ``n`` is one: numpy
+    computes a one-row product on its vector path, whose rounding differs from
+    the matrix product's.
     """
-    n = inputs.n_items
+    per = max(1, TILE_BYTES // row_bytes)
+    k = -(-n // per)
+    return [n * t // k for t in range(k + 1)]
+
+
+def _fills(inputs, slot_fill, use_feedback):
+    """N x 1 masks of the rows whose feedback slot (when feedback is on) and id
+    slot are filled from the projected content, in slot order, and (``raw``
+    fill, else None) of the rows whose feedback slot is the raw content
+    projected through W_p."""
     forced = inputs.forced_fallback
 
-    def own(present, slot):
-        """Rows whose ``slot`` keeps its own value rather than the projected content."""
-        return present if forced is None else present & ~forced[:, slot]
+    def filled(present, slot):
+        own = present if forced is None else present & ~forced[:, slot]
+        return ~own[:, None]
 
-    content = nm.constant(inputs.content, dtype)
-    projected_content = nm.matmul(content, params.w_c)
-    slots = [projected_content]
+    raw = use_feedback and slot_fill == "raw"
+    present = inputs.feedback_present
+    fills = [filled(inputs.id_warm, SLOT_ID)]
     if use_feedback:
-        feedback = nm.matmul(nm.constant(inputs.feedback, dtype), params.w_p)
-        present = inputs.feedback_present
-        if slot_fill == "raw":
-            if params.w_p.shape[0] != inputs.content.shape[1]:
-                raise ConfigError(
-                    "slot_fill=raw needs cf_dim == feature dim, "
-                    f"have {params.w_p.shape[0]} vs {inputs.content.shape[1]}"
-                )
-            feedback = nm.select_rows(present, feedback, nm.matmul(content, params.w_p))
-            present = np.ones(n, dtype=bool)
-        slots.append(nm.select_rows(own(present, SLOT_FEEDBACK), feedback, projected_content))
-    v = params.v if inputs.rows is None else nm.take_rows(params.v, inputs.rows)
-    slots.append(nm.select_rows(own(inputs.id_warm, SLOT_ID), v, projected_content))
-    h = nm.vconcat(slots)
-    return attend(h, params.layers, n) if use_attention else h
+        fills.insert(0, filled(np.ones_like(present) if raw else present, SLOT_FEEDBACK))
+    return fills, ~present[:, None] if raw else None
+
+
+def _check_inputs(inputs, params, slot_fill, use_feedback, dtype):
+    if inputs.n_items == 0:
+        raise ShapeError("encode_item_table: no items")
+    for w in (params.w_c, params.w_p, params.v, *(w for pair in params.layers for w in pair)):
+        if w.dtype != dtype:
+            raise ShapeError(f"encode_item_table: a {w.dtype} parameter for {np.dtype(dtype)}")
+    if inputs.content.shape[1] != params.w_c.shape[0]:
+        raise ShapeError(f"encode_item_table: content width {inputs.content.shape[1]} "
+                         f"for W_c {params.w_c.shape}")
+    if use_feedback and inputs.feedback.shape[1] != params.w_p.shape[0]:
+        raise ShapeError(f"encode_item_table: feedback width {inputs.feedback.shape[1]} "
+                         f"for W_p {params.w_p.shape}")
+    if use_feedback and slot_fill == "raw" and params.w_p.shape[0] != inputs.content.shape[1]:
+        raise ConfigError(
+            "slot_fill=raw needs cf_dim == feature dim, "
+            f"have {params.w_p.shape[0]} vs {inputs.content.shape[1]}"
+        )
+    n_v = params.v.shape[0]
+    if (inputs.n_items != n_v) if inputs.rows is None else (inputs.rows.max() >= n_v):
+        raise ShapeError(f"encode_item_table: {inputs.n_items} items for {n_v} id rows")
+
+
+@dataclass
+class _TablePass:
+    """A tiled forward pass: the N x d table, and what the backward reads."""
+
+    table: np.ndarray
+    tiles: list  # (lo, hi, [(layer input rows, softmax weights, h @ m), ...], attended rows)
+    ms: list  # each layer's Wk Wq^T
+    content: np.ndarray
+    feedback: np.ndarray | None
+    size: int  # slots per item
+    fills: list  # see _fills
+    raw_fill: np.ndarray | None
+
+
+def _forward(inputs, params, slot_fill, use_feedback, use_attention, dtype):
+    """The table, tile by tile: slots, attention layers, slot mean."""
+    _check_inputs(inputs, params, slot_fill, use_feedback, dtype)
+    n, d = inputs.n_items, params.d
+    content = nm.constant(inputs.content, dtype).value
+    feedback = nm.constant(inputs.feedback, dtype).value if use_feedback else None
+    fills, raw_fill = _fills(inputs, slot_fill, use_feedback)
+    w_c, w_p, v = params.w_c.value, params.w_p.value, params.v.value
+    ms = [w_k.value @ w_q.value.T for w_k, w_q in params.layers] if use_attention else []
+    size = len(fills) + 1
+
+    table = np.empty((n, d), dtype=dtype)
+    tiles = []
+    bounds = _tiles(n, size * d * np.dtype(dtype).itemsize)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        t = hi - lo
+        h = np.empty((size * t, d), dtype=dtype)
+        slots = h.reshape(size, t, d)
+        # every projected-content and attended row feeds the table, which the
+        # node checks; rows that the fill replaces below are checked here
+        np.matmul(content[lo:hi], w_c, out=slots[0])
+        if use_feedback:
+            np.matmul(feedback[lo:hi], w_p, out=slots[1])
+            nm.check_finite(slots[1], "feedback projection")
+            if raw_fill is not None:
+                raw = content[lo:hi] @ w_p
+                nm.check_finite(raw, "raw content projection")
+                np.copyto(slots[1], raw, where=raw_fill[lo:hi])
+        if inputs.rows is None:
+            slots[-1] = v[lo:hi]
+        else:
+            np.take(v, inputs.rows[lo:hi], axis=0, out=slots[-1])
+            nm.check_finite(slots[-1], "id rows")
+        for slot, fill in zip(slots[1:], fills):
+            np.copyto(slot, slots[0], where=fill[lo:hi])
+        layers = []
+        for m in ms:
+            out, p, hm = nm.attention_forward(h, m, size, t)
+            layers.append((h, p, hm))
+            h = out
+        table[lo:hi] = nm.set_mean(h, size, t)
+        tiles.append((lo, hi, layers, h))
+    return _TablePass(table, tiles, ms, content, feedback, size, fills, raw_fill)
+
+
+def attended_slots(inputs, params, slot_fill="projected", use_feedback=True,
+                   use_attention=True, dtype=np.float32):
+    """Forward only: the N x d item table and the attended slot rows as an
+    S x N x d array, slot s of item i at ``[s, i]`` (S is 3, or 2 when
+    feedback is off)."""
+    f = _forward(inputs, params, slot_fill, use_feedback, use_attention, dtype)
+    rows = [h.reshape(f.size, hi - lo, -1) for lo, hi, _, h in f.tiles]
+    return f.table, np.concatenate(rows, axis=1)
 
 
 def encode_item_table(inputs, params, slot_fill="projected", use_feedback=True,
                       use_attention=True, dtype=np.float32):
-    """The representations of the inputs' N items as one N x d node."""
-    h = item_slots(inputs, params, slot_fill, use_feedback, use_attention, dtype)
-    return nm.group_mean(h, inputs.n_items)
+    """The representations of the inputs' N items as one N x d node.
+
+    Modality dropout (``forced_fallback``) replaces a slot by the projected
+    content. The backward sums the weight gradients tile by tile; restricted
+    inputs scatter their id-slot gradients into rows ``inputs.rows`` of V
+    (repeats add up).
+    """
+    f = _forward(inputs, params, slot_fill, use_feedback, use_attention, dtype)
+    w_c, w_p, v = params.w_c, params.w_p, params.v
+    layers = params.layers if use_attention else []
+    parents = (w_c, *((w_p,) if use_feedback else ()), v, *(w for pair in layers for w in pair))
+    size = f.size
+
+    def rule(g):
+        d_wc = np.zeros_like(w_c.value)
+        d_wp = np.zeros_like(w_p.value)
+        d_ms = [np.zeros_like(m) for m in f.ms]
+        if v.requires_grad and v.adjoint is None:
+            v.adjoint = np.zeros_like(v.value)
+        for lo, hi, cache, _ in f.tiles:
+            t = hi - lo
+            content = f.content[lo:hi]
+            d_h = np.empty((size * t, g.shape[1]), dtype=g.dtype)
+            d_h.reshape(size, t, -1)[:] = g[lo:hi] / size
+            for (h, p, hm), m, d_m in zip(reversed(cache), reversed(f.ms), reversed(d_ms)):
+                d_hm, d_h = nm.attention_backward(d_h, h, m, p, hm, size, t)
+                d_m += h.T @ d_hm
+            # slot rows filled from the projected content pass their gradient to
+            # it, and nothing to their own branch
+            d_projected, *d_slots = d_h.reshape(size, t, -1)
+            for d_slot, fill in zip(d_slots, f.fills):
+                np.add(d_projected, d_slot, out=d_projected, where=fill[lo:hi])
+                d_slot *= ~fill[lo:hi]
+            if use_feedback:
+                d_fb = d_slots[0]
+                if f.raw_fill is not None:
+                    d_wp += content.T @ (d_fb * f.raw_fill[lo:hi])
+                    d_fb *= ~f.raw_fill[lo:hi]
+                d_wp += f.feedback[lo:hi].T @ d_fb
+            if v.requires_grad:
+                if inputs.rows is None:
+                    v.adjoint[lo:hi] += d_slots[-1]
+                else:
+                    np.add.at(v.adjoint, inputs.rows[lo:hi], d_slots[-1])
+            d_wc += content.T @ d_projected
+        nm.accumulate(w_c, d_wc)
+        if use_feedback:
+            nm.accumulate(w_p, d_wp)
+        for (w_k, w_q), d_m in zip(layers, d_ms):
+            nm.accumulate(w_k, d_m @ w_q.value)
+            nm.accumulate(w_q, d_m.T @ w_k.value)
+
+    return nm.make_node(f.table, parents, rule, "encode_item_table")

@@ -24,7 +24,7 @@ from .errors import DegenerateVectorError, GraphError, NonFiniteError, ShapeErro
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
-def _check_finite(value, op):
+def check_finite(value, op):
     if not np.isfinite(value).all():
         raise NonFiniteError(f"{op} produced a non-finite value")
 
@@ -80,18 +80,19 @@ class GraphNode:
 def constant(data, dtype=np.float32):
     """Leaf that never receives a gradient."""
     value = _as_matrix(data, dtype)
-    _check_finite(value, "constant")
+    check_finite(value, "constant")
     return GraphNode(value)
 
 
 def parameter(data, dtype=np.float32):
     """Trainable leaf; :func:`backward` fills its adjoint."""
     value = _as_matrix(data, dtype)
-    _check_finite(value, "parameter")
+    check_finite(value, "parameter")
     return GraphNode(value, requires_grad=True)
 
 
-def _accum(node, grad):
+def accumulate(node, grad):
+    """Add ``grad`` to the adjoint of ``node``, if it takes gradients."""
     if not node.requires_grad:
         return
     if node.adjoint is None:
@@ -146,8 +147,10 @@ def _binary_preflight(a, b, op):
         raise ShapeError(f"{op}: mixed dtypes {a.dtype} vs {b.dtype}")
 
 
-def _make(value, parents, rule, op):
-    _check_finite(value, op)
+def make_node(value, parents, rule, op):
+    """A graph node for ``value``, checked finite, with backward ``rule``;
+    ops built outside this module (the item encoder's table) use it too."""
+    check_finite(value, op)
     requires = any(p.requires_grad for p in parents)
     return GraphNode(value, parents, rule if requires else None, requires)
 
@@ -162,10 +165,10 @@ def add(a, b):
         raise ShapeError(f"add: shapes {a.shape} vs {b.shape}")
 
     def rule(g):
-        _accum(a, g)
-        _accum(b, g)
+        accumulate(a, g)
+        accumulate(b, g)
 
-    return _make(a.value + b.value, (a, b), rule, "add")
+    return make_node(a.value + b.value, (a, b), rule, "add")
 
 
 def mul(a, b):
@@ -176,11 +179,11 @@ def mul(a, b):
 
     def rule(g):
         if a.requires_grad:
-            _accum(a, g * b.value)
+            accumulate(a, g * b.value)
         if b.requires_grad:
-            _accum(b, g * a.value)
+            accumulate(b, g * a.value)
 
-    return _make(a.value * b.value, (a, b), rule, "mul")
+    return make_node(a.value * b.value, (a, b), rule, "mul")
 
 
 def smul(a, c):
@@ -188,9 +191,9 @@ def smul(a, c):
     c = float(c)
 
     def rule(g):
-        _accum(a, g * c)
+        accumulate(a, g * c)
 
-    return _make(a.value * c, (a,), rule, "smul")
+    return make_node(a.value * c, (a,), rule, "smul")
 
 
 def sdiv(a, c):
@@ -201,9 +204,9 @@ def sdiv(a, c):
         raise ShapeError("sdiv: divisor is zero")
 
     def rule(g):
-        _accum(a, g / c)
+        accumulate(a, g / c)
 
-    return _make(a.value / c, (a,), rule, "sdiv")
+    return make_node(a.value / c, (a,), rule, "sdiv")
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +220,34 @@ def matmul(a, b):
 
     def rule(g):
         if a.requires_grad:
-            _accum(a, g @ b.value.T)
+            accumulate(a, g @ b.value.T)
         if b.requires_grad:
-            _accum(b, a.value.T @ g)
+            accumulate(b, a.value.T @ g)
 
-    return _make(a.value @ b.value, (a, b), rule, "matmul")
+    return make_node(a.value @ b.value, (a, b), rule, "matmul")
+
+
+def matmul_nt(a, b):
+    """``a @ b.T`` with no transposed copy in either pass: the backward is
+    ``dA = G B`` and ``dB = G^T A``."""
+    _binary_preflight(a, b, "matmul_nt")
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"matmul_nt: {a.shape} x {b.shape}^T")
+
+    def rule(g):
+        if a.requires_grad:
+            accumulate(a, g @ b.value)
+        if b.requires_grad:
+            accumulate(b, g.T @ a.value)
+
+    return make_node(a.value @ b.value.T, (a, b), rule, "matmul_nt")
 
 
 def transpose(a):
     def rule(g):
-        _accum(a, np.ascontiguousarray(g.T))
+        accumulate(a, np.ascontiguousarray(g.T))
 
-    return _make(np.ascontiguousarray(a.value.T), (a,), rule, "transpose")
+    return make_node(np.ascontiguousarray(a.value.T), (a,), rule, "transpose")
 
 
 # ---------------------------------------------------------------------------
@@ -239,34 +258,68 @@ def log_softmax_rows(a):
     y = kernels.log_softmax_rows(a.value)
 
     def rule(g):
-        _accum(a, kernels.log_softmax_rows_grad(y, g))
+        accumulate(a, kernels.log_softmax_rows_grad(y, g))
 
-    return _make(y, (a,), rule, "log_softmax_rows")
+    return make_node(y, (a,), rule, "log_softmax_rows")
 
 
-def log_softmax_pick(a, mask, c):
-    """``c`` times the sum of log softmax(row) over the entries of the 0/1
-    matrix ``mask``, as a 1x1 node.
+def log_softmax_pick(a, rows, cols, c):
+    """``c`` times the sum of log softmax(row) over the entries
+    ``(rows[k], cols[k])``, in that order, as a 1x1 node.
 
-    One node does the work of log_softmax_rows, a product with the mask,
-    sum_all and smul, with the same value and gradient bits.
+    Only the picked entries are summed, and the backward hands
+    ``log_softmax_rows_grad`` a gradient that is ``g * c`` at the picked
+    entries and zero elsewhere; neither pass forms a mask or a product with one.
     """
-    if mask.shape != a.shape or mask.dtype != a.dtype:
-        raise ShapeError(f"log_softmax_pick: mask {mask.shape} {mask.dtype} for {a.shape} {a.dtype}")
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.shape != cols.shape or rows.ndim != 1 or not rows.size:
+        raise ShapeError(f"log_softmax_pick: {rows.shape} rows for {cols.shape} columns")
+    n, m = a.shape
+    if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= m:
+        raise ShapeError(f"log_softmax_pick: an entry outside {a.shape}")
     c = float(c)
     y = kernels.log_softmax_rows(a.value)
 
     def rule(g):
-        _accum(a, kernels.log_softmax_rows_grad(y, mask * (g * c)))
+        picked = np.zeros_like(y)
+        picked[rows, cols] = (g * c)[0, 0]
+        accumulate(a, kernels.log_softmax_rows_grad(y, picked))
 
-    return _make((y * mask).sum().reshape(1, 1) * c, (a,), rule, "log_softmax_pick")
+    return make_node(y[rows, cols].sum().reshape(1, 1) * c, (a,), rule, "log_softmax_pick")
+
+
+def sum_squares(nodes):
+    """The sum of squares of every entry of ``nodes`` as a 1x1 node.
+
+    Each node's squares are summed as ``sum_all(mul(p, p))`` sums them, and
+    the per-node totals are added in order; the backward adds ``g * p`` to
+    each node twice, as ``mul(p, p)`` does.
+    """
+    nodes = list(nodes)
+    if not nodes:
+        raise ShapeError("sum_squares: no inputs")
+    total = None
+    for p in nodes:
+        _binary_preflight(nodes[0], p, "sum_squares")
+        term = (p.value * p.value).sum().reshape(1, 1)
+        total = term if total is None else total + term
+
+    def rule(g):
+        for p in nodes:
+            if p.requires_grad:
+                grad = g * p.value
+                accumulate(p, grad)
+                accumulate(p, grad)
+
+    return make_node(total, tuple(nodes), rule, "sum_squares")
 
 
 def sum_all(a):
     def rule(g):
-        _accum(a, np.broadcast_to(g, a.shape))
+        accumulate(a, np.broadcast_to(g, a.shape))
 
-    return _make(a.value.sum().reshape(1, 1), (a,), rule, "sum_all")
+    return make_node(a.value.sum().reshape(1, 1), (a,), rule, "sum_all")
 
 
 def mean_all(a):
@@ -275,9 +328,9 @@ def mean_all(a):
         raise ShapeError("mean_all: empty matrix")
 
     def rule(g):
-        _accum(a, np.broadcast_to(g / size, a.shape))
+        accumulate(a, np.broadcast_to(g / size, a.shape))
 
-    return _make(a.value.mean().reshape(1, 1), (a,), rule, "mean_all")
+    return make_node(a.value.mean().reshape(1, 1), (a,), rule, "mean_all")
 
 
 def normalize_rows(a):
@@ -290,33 +343,14 @@ def normalize_rows(a):
 
     def rule(g):
         s = (g * y).sum(axis=1, keepdims=True)
-        _accum(a, (g - y * s) / norms)
+        accumulate(a, (g - y * s) / norms)
 
-    return _make(y, (a,), rule, "normalize_rows")
+    return make_node(y, (a,), rule, "normalize_rows")
 
 
 # ---------------------------------------------------------------------------
 # structural ops
 # ---------------------------------------------------------------------------
-
-def vconcat(nodes):
-    nodes = list(nodes)
-    if not nodes:
-        raise ShapeError("vconcat: no inputs")
-    cols = nodes[0].shape[1]
-    for n in nodes:
-        if n.shape[1] != cols:
-            raise ShapeError("vconcat: column counts differ")
-        _binary_preflight(nodes[0], n, "vconcat")
-    offsets = np.cumsum([0] + [n.shape[0] for n in nodes])
-
-    def rule(g):
-        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            _accum(n, g[lo:hi, :])
-
-    value = np.concatenate([n.value for n in nodes], axis=0)
-    return _make(value, tuple(nodes), rule, "vconcat")
-
 
 def take_rows(a, idx):
     """Gather rows by index; backward scatter-adds (indices may repeat)."""
@@ -337,7 +371,7 @@ def take_rows(a, idx):
             a.adjoint = np.zeros_like(a.value)
         np.add.at(a.adjoint, idx, g)
 
-    return _make(value, (a,), rule, "take_rows")
+    return make_node(value, (a,), rule, "take_rows")
 
 
 def take_diag(a):
@@ -352,26 +386,7 @@ def take_diag(a):
             a.adjoint = np.zeros_like(a.value)
         a.adjoint[np.arange(n), np.arange(n)] += g[:, 0]
 
-    return _make(np.diag(a.value).reshape(-1, 1).copy(), (a,), rule, "take_diag")
-
-
-def select_rows(mask, on, off):
-    """Row-wise select: row r of ``on`` where ``mask[r]``, else row r of
-    ``off``; each row's gradient flows only to the branch it came from."""
-    _binary_preflight(on, off, "select_rows")
-    if on.shape != off.shape:
-        raise ShapeError(f"select_rows: shapes {on.shape} vs {off.shape}")
-    mask = np.asarray(mask, dtype=bool).reshape(-1, 1)
-    if mask.shape[0] != on.shape[0]:
-        raise ShapeError(f"select_rows: {mask.shape[0]} mask rows for {on.shape[0]} rows")
-
-    def rule(g):
-        if on.requires_grad:
-            _accum(on, np.where(mask, g, 0.0))
-        if off.requires_grad:
-            _accum(off, np.where(mask, 0.0, g))
-
-    return _make(np.where(mask, on.value, off.value), (on, off), rule, "select_rows")
+    return make_node(np.diag(a.value).reshape(-1, 1).copy(), (a,), rule, "take_diag")
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +394,15 @@ def select_rows(mask, on, off):
 #
 # A batch of G sets of up to S members is one (S*G) x d matrix stored
 # member-major: row s*G + g is member s of set g. An optional S x G boolean
-# mask marks the real members; padded rows are ignored, and set_attention
+# mask marks the real members; padded rows are ignored, and set attention
 # returns them as zero rows. The per-set products run on G x S x d strided
 # views of these rows (_group_major) and write their results through such a
 # view into a member-major buffer, so no step copies between the layouts.
+#
+# The arithmetic lives in plain array functions (attention_forward,
+# attention_backward, set_mean) that the graph ops below and the item
+# encoder's tiled table node both call, and that forward-only scoring calls
+# with no graph at all.
 # ---------------------------------------------------------------------------
 
 def _set_shape(a, groups, mask, op):
@@ -404,6 +424,74 @@ def _group_major(x, size, groups):
     return x.reshape(size, groups, -1).transpose(1, 0, 2)
 
 
+def attention_forward(h, m, size, groups, mask=None):
+    """One set-attention layer on member-major rows ``h``, with ``m = Wk Wq^T``.
+
+    Returns the attended rows, the G x S x S softmax weights and ``h @ m``;
+    the last two are what :func:`attention_backward` needs.
+    """
+    scale = math.sqrt(float(h.shape[1]))
+    hm = h @ m
+    x = _group_major(h, size, groups)
+    logits = _group_major(hm, size, groups) @ x.transpose(0, 2, 1)
+    logits /= scale
+    if mask is not None:
+        np.copyto(logits, -np.inf, where=~mask.T[:, None, :])
+    p = kernels.softmax_rows(logits.reshape(-1, size)).reshape(groups, size, size)
+    out = np.empty_like(h)
+    np.matmul(p, x, out=_group_major(out, size, groups))
+    if mask is not None:
+        out *= mask.reshape(-1, 1)
+    return out, p, hm
+
+
+def attention_backward(g, h, m, p, hm, size, groups, mask=None, input_grad=True):
+    """Backward of :func:`attention_forward` for the output adjoint ``g``.
+
+    Returns ``d(HM)``, from which ``dM = H^T d(HM)``, and the input gradient
+    ``dH`` (None unless ``input_grad``).
+    """
+    scale = math.sqrt(float(h.shape[1]))
+    if mask is not None:
+        g = g * mask.reshape(-1, 1)
+    x = _group_major(h, size, groups)
+    g_sets = _group_major(g, size, groups)
+    dp = g_sets @ x.transpose(0, 2, 1)
+    dl = kernels.softmax_rows_grad(p.reshape(-1, size), dp.reshape(-1, size))
+    dl = dl.reshape(groups, size, size)
+    dl /= scale
+    d_hm = np.empty_like(hm)
+    np.matmul(dl, x, out=_group_major(d_hm, size, groups))
+    if not input_grad:
+        return d_hm, None
+    d_h = d_hm @ m.T
+    part = np.empty_like(d_h)
+    part_sets = _group_major(part, size, groups)
+    np.matmul(p.transpose(0, 2, 1), g_sets, out=part_sets)
+    d_h += part
+    np.matmul(dl.transpose(0, 2, 1), _group_major(hm, size, groups), out=part_sets)
+    d_h += part
+    return d_hm, d_h
+
+
+def set_mean(h, size, groups, mask=None):
+    """Mean of each set's members of member-major rows ``h``, as G x d.
+
+    Members are summed in order and the sum is divided once by the member
+    count, which is how ``np.mean(axis=0)`` reduces a stack of rows, so each
+    mean has the same bits as ``np.mean`` over that set's members.
+    """
+    x = h.reshape(size, groups, -1)
+    acc = x[0].copy() if mask is None else np.where(mask[0][:, None], x[0], 0)
+    for s in range(1, size):
+        np.add(acc, x[s], out=acc, where=True if mask is None else mask[s][:, None])
+    return acc / _member_count(size, mask, h.dtype)
+
+
+def _member_count(size, mask, dtype):
+    return size if mask is None else mask.sum(axis=0).astype(dtype)[:, None]
+
+
 def set_attention(h, w_k, w_q, groups=1, mask=None):
     """One self-attention layer applied to every set of a batch.
 
@@ -422,68 +510,32 @@ def set_attention(h, w_k, w_q, groups=1, mask=None):
     if w_k.shape != (d, d) or w_q.shape != (d, d):
         raise ShapeError(f"set_attention: weights {w_k.shape}, {w_q.shape} for width {d}")
     size, groups, mask = _set_shape(h, groups, mask, "set_attention")
-    scale = math.sqrt(float(d))
     m = w_k.value @ w_q.value.T
-    hm = h.value @ m
-    x = _group_major(h.value, size, groups)
-    hm_sets = _group_major(hm, size, groups)
-    logits = hm_sets @ x.transpose(0, 2, 1)
-    logits /= scale
-    if mask is not None:
-        np.copyto(logits, -np.inf, where=~mask.T[:, None, :])
-    p = kernels.softmax_rows(logits.reshape(-1, size)).reshape(groups, size, size)
-    out = np.empty_like(h.value)
-    np.matmul(p, x, out=_group_major(out, size, groups))
-    if mask is not None:
-        out *= mask.reshape(-1, 1)
+    out, p, hm = attention_forward(h.value, m, size, groups, mask)
 
     def rule(g):
-        if mask is not None:
-            g = g * mask.reshape(-1, 1)
-        g_sets = _group_major(g, size, groups)
-        dp = g_sets @ x.transpose(0, 2, 1)
-        dl = kernels.softmax_rows_grad(p.reshape(-1, size), dp.reshape(-1, size))
-        dl = dl.reshape(groups, size, size)
-        dl /= scale
-        d_hm = np.empty_like(hm)
-        np.matmul(dl, x, out=_group_major(d_hm, size, groups))
+        d_hm, d_h = attention_backward(g, h.value, m, p, hm, size, groups, mask, h.requires_grad)
         if w_k.requires_grad or w_q.requires_grad:
             d_m = h.value.T @ d_hm
             if w_k.requires_grad:
-                _accum(w_k, d_m @ w_q.value)
+                accumulate(w_k, d_m @ w_q.value)
             if w_q.requires_grad:
-                _accum(w_q, d_m.T @ w_k.value)
+                accumulate(w_q, d_m.T @ w_k.value)
         if h.requires_grad:
-            d_h = d_hm @ m.T
-            part = np.empty_like(d_h)
-            part_sets = _group_major(part, size, groups)
-            np.matmul(p.transpose(0, 2, 1), g_sets, out=part_sets)
-            d_h += part
-            np.matmul(dl.transpose(0, 2, 1), hm_sets, out=part_sets)
-            d_h += part
-            _accum(h, d_h)
+            accumulate(h, d_h)
 
-    return _make(out, (h, w_k, w_q), rule, "set_attention")
+    return make_node(out, (h, w_k, w_q), rule, "set_attention")
 
 
 def group_mean(h, groups=1, mask=None):
-    """Mean of each set's members as a G x d matrix.
-
-    Members are summed in order and the sum is divided once by the member
-    count, which is how ``np.mean(axis=0)`` reduces a stack of rows, so each
-    mean has the same bits as ``np.mean`` over that set's members.
-    """
+    """Mean of each set's members as a G x d matrix (see :func:`set_mean`)."""
     size, groups, mask = _set_shape(h, groups, mask, "group_mean")
-    x = h.value.reshape(size, groups, -1)
-    acc = x[0].copy() if mask is None else np.where(mask[0][:, None], x[0], 0)
-    for s in range(1, size):
-        np.add(acc, x[s], out=acc, where=True if mask is None else mask[s][:, None])
-    count = size if mask is None else mask.sum(axis=0).astype(h.dtype)[:, None]
+    count = _member_count(size, mask, h.dtype)
 
     def rule(g):
         share = np.broadcast_to(g / count, (size, groups, g.shape[1]))
         if mask is not None:
             share = share * mask[:, :, None]
-        _accum(h, share.reshape(h.shape))
+        accumulate(h, share.reshape(h.shape))
 
-    return _make(acc / count, (h,), rule, "group_mean")
+    return make_node(set_mean(h.value, size, groups, mask), (h,), rule, "group_mean")

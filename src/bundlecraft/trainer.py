@@ -7,7 +7,11 @@ two contrastive terms and L2 over the trainable parameters:
     total = mean_b nll_b + alpha1 * cl_item + alpha2 * cl_bundle + beta * ||params||^2
 
 The full scoring table of item representations is recomputed every batch
-so gradients stay exact. The augmented item view is encoded only on the
+so gradients stay exact; it is one graph node that runs in cache-sized
+tiles (see :mod:`item_encoder`). The scores are one node, ``e_b @ T^T``
+with no transposed copy, the NLL one node that sums only the targets'
+log-probabilities, and the L2 penalty one node, so a batch's graph has a
+few dozen nodes. The augmented item view is encoded only on the
 rows the item-level InfoNCE reads: the batch's seed and target items with
 ``negatives="batch"``, the whole catalog with ``"full"``. One epoch is one
 pass over the training bundles with freshly sampled seed/target splits.
@@ -105,8 +109,9 @@ def init_model(n_items, feat_dim, cf, config, rng):
 # ---------------------------------------------------------------------------
 
 def score(e_b, item_table):
-    """Inner-product scores of every item against a bundle vector."""
-    return nm.matmul(e_b, nm.transpose(item_table))
+    """Inner-product scores of every item against each bundle vector, as one
+    node ``e_b @ item_table^T`` that copies no transpose."""
+    return nm.matmul_nt(e_b, item_table)
 
 
 def nll_loss(scores, target_sets):
@@ -115,15 +120,16 @@ def nll_loss(scores, target_sets):
     b, n = scores.shape
     if len(target_sets) != b:
         raise ShapeError(f"nll_loss: {len(target_sets)} target sets for {b} score rows")
-    mask = np.zeros((b, n), dtype=scores.dtype)
+    rows, cols = [], []
     for r, targets in enumerate(target_sets):
         idx = sorted(targets)
         if not idx:
             raise IntegrityError("nll_loss: empty target set")
         if idx[0] < 0 or idx[-1] >= n:
             raise IntegrityError("nll_loss: target outside the catalog")
-        mask[r, idx] = 1.0
-    return nm.log_softmax_pick(scores, mask, -1.0 / (b * n))
+        rows += [r] * len(idx)
+        cols += idx
+    return nm.log_softmax_pick(scores, rows, cols, -1.0 / (b * n))
 
 
 def total_loss(views, model, inputs, rng, all_views=None):
@@ -184,10 +190,7 @@ def total_loss(views, model, inputs, rng, all_views=None):
         loss = nm.add(loss, nm.smul(cl_bundle, cfg.alpha2))
 
     if cfg.beta > 0:
-        l2 = None
-        for p in model.trainables():
-            term = nm.sum_all(nm.mul(p, p))
-            l2 = term if l2 is None else nm.add(l2, term)
+        l2 = nm.sum_squares(model.trainables())
         parts["l2"] = l2.item()
         loss = nm.add(loss, nm.smul(l2, cfg.beta))
 
@@ -199,6 +202,13 @@ def total_loss(views, model, inputs, rng, all_views=None):
 # ---------------------------------------------------------------------------
 
 class Adam:
+    """Adam, updating the parameters in place.
+
+    Each parameter has one scratch buffer, and its adjoint is consumed as a
+    second one, so a step allocates nothing; the in-place ufuncs run the
+    textbook update's operations in its order, with its bits.
+    """
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
         self.lr = lr
@@ -208,21 +218,32 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
+        self.scratch = [np.empty_like(p.value) for p in self.params]
 
     def step(self):
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
+        for p, m, v, s in zip(self.params, self.m, self.v, self.scratch):
             g = p.adjoint
             if g is None:
                 continue
+            # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=s)
+            m += s
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            p.value -= self.lr * update
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            s *= g
+            v += s
+            # p -= lr (m / b1t) / (sqrt(v / b2t) + eps), with g as the second buffer
+            np.divide(v, b2t, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, b1t, out=g)
+            g /= s
+            g *= self.lr
+            p.value -= g
         nm.zero_adjoints(self.params)
 
 

@@ -112,6 +112,21 @@ class TestBatchedViews:
         for sets in ([{1, 2, 3}, {0, 4, 9}, {5, 7, 8}], [{3, 1}], [{6}, {2}]):
             assert self.check_batch(rng, sets) is None
 
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    def test_forward_only_path_has_the_graph_path_bits(self, rng, dtype, layers):
+        params = be.init_bundle_params(8, layers, rng, dtype)
+        table = rng.normal(size=(10, 8)).astype(dtype)
+        matrices = be.attention_matrices(params)
+        for sets in (self.SETS, [{1, 2, 3}, {0, 4, 9}], [{6}]):
+            want = be.encode_sets(nm.constant(table, dtype), sets, params).value
+            got = be.encode_sets_forward(table, sets, matrices)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert be.attention_matrices(params, use_attention=False) == []
+        for sets in ([], [set()], [{1, 2}, set()]):
+            with pytest.raises(ShapeError):
+                be.encode_sets_forward(table, sets, matrices)
+
     def test_batch_gradients_match_finite_differences(self, rng):
         params = make_params(rng, layers=1)
         table = nm.parameter(rng.normal(size=(10, 4)), F64)

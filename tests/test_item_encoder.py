@@ -79,8 +79,76 @@ def oracle_rows_of(inputs, params, i, slot_fill="projected"):
 
 def slot_rows(inputs, params, i, **kw):
     """Item i's rows of the (unattended) slot stack, one per slot."""
-    slots = ie.item_slots(inputs, params, use_attention=False, dtype=F64, **kw)
-    return slots.value.reshape(-1, inputs.n_items, params.d)[:, i]
+    return ie.attended_slots(inputs, params, use_attention=False, dtype=F64, **kw)[1][:, i]
+
+
+# ---------------------------------------------------------------------------
+# the graph-op composition the fused table node replaced, kept as its oracle,
+# with the two graph ops only it used
+# ---------------------------------------------------------------------------
+
+def vconcat(nodes):
+    """Stack nodes' rows; each gets its slice of the gradient back."""
+    nodes = list(nodes)
+    if not nodes or len({(n.shape[1], n.dtype) for n in nodes}) != 1:
+        raise ShapeError("vconcat: no inputs, or column counts or dtypes differ")
+    offsets = np.cumsum([0] + [n.shape[0] for n in nodes])
+
+    def rule(g):
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            nm.accumulate(n, g[lo:hi, :])
+
+    value = np.concatenate([n.value for n in nodes], axis=0)
+    return nm.make_node(value, tuple(nodes), rule, "vconcat")
+
+
+def select_rows(mask, on, off):
+    """Row-wise select: row r of ``on`` where ``mask[r]``, else row r of
+    ``off``; each row's gradient flows only to the branch it came from."""
+    mask = np.asarray(mask, dtype=bool).reshape(-1, 1)
+    if on.shape != off.shape or on.dtype != off.dtype or mask.shape[0] != on.shape[0]:
+        raise ShapeError(f"select_rows: {mask.shape[0]} mask rows for {on.shape}, {off.shape}")
+
+    def rule(g):
+        if on.requires_grad:
+            nm.accumulate(on, np.where(mask, g, 0.0))
+        if off.requires_grad:
+            nm.accumulate(off, np.where(mask, 0.0, g))
+
+    return nm.make_node(np.where(mask, on.value, off.value), (on, off), rule, "select_rows")
+
+
+def composed_item_slots(inputs, params, slot_fill="projected", use_feedback=True,
+                        use_attention=True, dtype=F64):
+    """The attended slot rows of every item as one (S*N) x d node, slot s of
+    item i at row s * N + i, built from the generic graph ops."""
+    n = inputs.n_items
+    forced = inputs.forced_fallback
+
+    def own(present, slot):
+        return present if forced is None else present & ~forced[:, slot]
+
+    content = nm.constant(inputs.content, dtype)
+    projected_content = nm.matmul(content, params.w_c)
+    slots = [projected_content]
+    if use_feedback:
+        feedback = nm.matmul(nm.constant(inputs.feedback, dtype), params.w_p)
+        present = inputs.feedback_present
+        if slot_fill == "raw":
+            feedback = select_rows(present, feedback, nm.matmul(content, params.w_p))
+            present = np.ones(n, dtype=bool)
+        slots.append(select_rows(own(present, ie.SLOT_FEEDBACK), feedback, projected_content))
+    v = params.v if inputs.rows is None else nm.take_rows(params.v, inputs.rows)
+    slots.append(select_rows(own(inputs.id_warm, ie.SLOT_ID), v, projected_content))
+    h = vconcat(slots)
+    if use_attention:
+        for w_k, w_q in params.layers:
+            h = nm.set_attention(h, w_k, w_q, n)
+    return h
+
+
+def composed_item_table(inputs, params, **kw):
+    return nm.group_mean(composed_item_slots(inputs, params, **kw), inputs.n_items)
 
 
 def attention(h, wk, wq):
@@ -146,8 +214,8 @@ class TestBuildFeatureMatrix:
     def test_warm_item_shape_and_rows(self, rng):
         params = make_params(rng, n_items=4)
         inputs = self.inputs(rng)
-        slots = ie.item_slots(inputs, params, use_attention=False, dtype=F64)
-        assert slots.shape == (12, 4)
+        table, slots = ie.attended_slots(inputs, params, use_attention=False, dtype=F64)
+        assert slots.shape == (3, 4, 4) and table.shape == (4, 4)
         rows = slot_rows(inputs, params, 2)
         np.testing.assert_allclose(rows[0], inputs.content[2] @ params.w_c.value, atol=1e-12)
         np.testing.assert_allclose(rows[1], inputs.feedback[2] @ params.w_p.value, atol=1e-12)
@@ -379,3 +447,115 @@ class TestRowRestriction:
         # id-warm rows that keep their id slot receive a gradient
         kept = [r for i, r in enumerate(rows) if not inputs.forced_fallback[r, ie.SLOT_ID]]
         assert kept and np.abs(params.v.adjoint[kept]).sum(axis=1).min() > 0
+
+
+class TestFusedTableNode:
+    """The tiled table node against the graph-op composition it replaced:
+    the same value bits, and f64 gradients at rtol = atol = 1e-12."""
+
+    CASES = {
+        "default": {},
+        "feedback_off": {"use_feedback": False},
+        "attention_off": {"use_attention": False},
+        "raw": {"slot_fill": "raw"},
+        "raw_feedback_off": {"slot_fill": "raw", "use_feedback": False},
+    }
+
+    def setup(self, rng, n, layers=2, d=4, md=False, dtype=F64):
+        params = ie.init_item_params(n, 5, 5, d, layers, rng, dtype)
+        inputs = random_inputs(rng, n, feat=5, cfd=5)
+        if md:
+            from bundlecraft.contrastive import augment_inputs
+            from test_contrastive import aug_config
+
+            config = aug_config(item_mode="MD", dropout_ratio=0.6)
+            inputs = augment_inputs(inputs, "MD", config, rng)
+            assert inputs.forced_fallback.any()
+        return params, inputs
+
+    def check(self, params, inputs, dtype=F64, **kw):
+        fused = ie.encode_item_table(inputs, params, dtype=dtype, **kw)
+        oracle = composed_item_table(inputs, params, dtype=dtype, **kw)
+        assert fused.value.dtype == dtype
+        assert fused.value.tobytes() == oracle.value.tobytes()
+        if dtype != F64:
+            return
+        weights = nm.constant(np.random.default_rng(5).normal(size=fused.shape), F64)
+        grads = []
+        for table in (fused, oracle):
+            nm.backward(nm.sum_all(nm.mul(table, weights)))
+            grads.append({name: None if p.adjoint is None else p.adjoint.copy()
+                          for name, p in self.named(params)})
+            nm.zero_adjoints([p for _, p in self.named(params)])
+        for name, want in grads[1].items():
+            if want is None:
+                assert grads[0][name] is None, name
+            else:
+                np.testing.assert_allclose(grads[0][name], want, rtol=1e-12, atol=1e-12,
+                                           err_msg=name)
+
+    @staticmethod
+    def named(params):
+        named = [("w_c", params.w_c), ("w_p", params.w_p), ("v", params.v)]
+        for l, (w_k, w_q) in enumerate(params.layers):
+            named += [(f"wk{l}", w_k), (f"wq{l}", w_q)]
+        return named
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    @pytest.mark.parametrize("md", [False, True], ids=["plain", "MD"])
+    def test_matches_composition_over_small_tiles(self, rng, monkeypatch, case, layers, md):
+        """Five-item tiles: 13 items run as tiles of 4, 4 and 5, and the
+        restrictions as one, two or three tiles."""
+        d = 4
+        monkeypatch.setattr(ie, "TILE_BYTES", 5 * ie.N_SLOTS * d * 8)
+        params, inputs = self.setup(rng, 13, layers, d, md)
+        for rows in (None, [3], [11, 2, 2, 5, 2], [12, 0, 0, 7, 7, 7, 1, 9, 4, 4, 10, 6]):
+            self.check(params, inputs if rows is None else inputs.take(rows), **self.CASES[case])
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["below_one_tile", "one_tile_plus_one"])
+    def test_matches_composition_at_the_real_tile_size(self, rng, dtype, extra):
+        d = 4
+        row_bytes = ie.N_SLOTS * d * np.dtype(dtype).itemsize
+        per = ie.TILE_BYTES // row_bytes
+        n = per + extra if extra > 0 else 7
+        assert len(ie._tiles(n, row_bytes)) - 1 == (2 if extra > 0 else 1)
+        params, inputs = self.setup(rng, n, 2, d, md=True, dtype=dtype)
+        self.check(params, inputs, dtype=dtype)
+
+    def test_tiles_never_split_off_one_row(self):
+        for per in (1, 2, 3, 5, 64):
+            for n in range(1, 4 * per + 2):
+                bounds = ie._tiles(n, ie.TILE_BYTES // per)
+                sizes = np.diff(bounds)
+                assert bounds[0] == 0 and bounds[-1] == n and sizes.max() <= per
+                assert len(sizes) == -(-n // per)
+                assert n == 1 or per <= 2 or sizes.min() >= 2, (per, n, sizes)
+
+    def test_attended_slots_are_the_compositions_rows(self, rng, monkeypatch):
+        monkeypatch.setattr(ie, "TILE_BYTES", 4 * ie.N_SLOTS * 4 * 8)
+        params, inputs = self.setup(rng, 11, md=True)
+        table, slots = ie.attended_slots(inputs, params, dtype=F64)
+        want = composed_item_slots(inputs, params).value.reshape(3, 11, 4)
+        assert slots.tobytes() == want.tobytes()
+        assert table.tobytes() == composed_item_table(inputs, params).value.tobytes()
+
+    @pytest.mark.parametrize("where", ["content", "feedback", "weight"])
+    def test_non_finite_values_raise(self, rng, monkeypatch, where):
+        from bundlecraft.errors import NonFiniteError
+
+        monkeypatch.setattr(ie, "TILE_BYTES", 4 * ie.N_SLOTS * 4 * 8)
+        params, inputs = self.setup(rng, 11)
+        if where == "weight":
+            params.layers[1][0].value[0, 0] = np.inf
+        else:
+            getattr(inputs, where)[9, 1] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+            ie.encode_item_table(inputs, params, dtype=F64)
+
+    def test_one_graph_node(self, rng):
+        params, inputs = self.setup(rng, 6)
+        table = ie.encode_item_table(inputs.take([4, 1, 1]), params, dtype=F64)
+        assert set(map(id, table.parents)) == {id(p) for _, p in self.named(params)}
+        assert all(p.parents == () for p in table.parents)

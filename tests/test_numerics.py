@@ -8,6 +8,7 @@ from bundlecraft import kernels
 from bundlecraft.errors import DegenerateVectorError, GraphError, NonFiniteError, ShapeError
 
 from conftest import numeric_grad, rel_err
+from test_item_encoder import select_rows, vconcat
 from test_kernels import softmax_rows_grad_oracle, softmax_rows_oracle
 
 F64 = np.float64
@@ -228,14 +229,19 @@ def _op_cases(rng):
         ("matmul", lambda p: nm.sum_all(nm.matmul(p, nm.constant(m2, F64))), a),
         ("transpose", lambda p: nm.sum_all(nm.mul(nm.transpose(p), nm.constant(b.T.copy(), F64))), a),
         ("log_softmax", lambda p: nm.sum_all(nm.mul(nm.log_softmax_rows(p), nm.constant(b, F64))), a),
-        ("log_softmax_pick", lambda p: nm.log_softmax_pick(p, (b > 0).astype(F64), -0.3), a),
+        ("log_softmax_pick", lambda p: nm.log_softmax_pick(p, *np.nonzero(b > 0), -0.3), a),
+        ("matmul_nt", lambda p: nm.sum_all(nm.mul(nm.matmul_nt(p, nm.constant(b, F64)),
+                                                  nm.constant(sq[:3, :3], F64))), a),
+        ("matmul_nt_right", lambda p: nm.sum_all(nm.mul(nm.matmul_nt(nm.constant(b, F64), p),
+                                                        nm.constant(sq[:3, :3], F64))), a),
+        ("sum_squares", lambda p: nm.sum_squares([p, nm.smul(p, -0.5), nm.constant(b, F64)]), a),
         ("mean_all", lambda p: nm.mean_all(nm.mul(p, p)), a),
         ("normalize", lambda p: nm.sum_all(nm.mul(nm.normalize_rows(p), nm.constant(b, F64))), a),
-        ("vconcat", lambda p: nm.sum_all(nm.mul(nm.vconcat([p, p]), nm.constant(np.vstack([b, b]), F64))), a),
+        ("vconcat", lambda p: nm.sum_all(nm.mul(vconcat([p, p]), nm.constant(np.vstack([b, b]), F64))), a),
         ("take_rows", lambda p: nm.sum_all(nm.take_rows(p, [0, 2, 2])), a),
         ("take_diag", lambda p: nm.sum_all(nm.take_diag(p)), sq),
         ("select_rows", lambda p: nm.sum_all(nm.mul(
-            nm.select_rows(rows, p, nm.smul(p, -2.0)), nm.constant(b, F64))), a),
+            select_rows(rows, p, nm.smul(p, -2.0)), nm.constant(b, F64))), a),
         ("group_mean", lambda p: nm.sum_all(nm.mul(nm.group_mean(p, 3), nm.constant(g3, F64))), sets),
         ("group_mean_masked", lambda p: nm.sum_all(nm.mul(
             nm.group_mean(p, 3, mask), nm.constant(g3, F64))), sets),
@@ -268,6 +274,29 @@ def test_all_ops_gradcheck_many_draws():
             assert rel_err(analytic, num) < 1e-4, f"{name} draw {draw}"
             checked += 1
     assert checked >= 100
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_sum_squares_matches_the_op_composition(rng, dtype):
+    """One node against sum_all(mul(p, p)) per node, added in order: the
+    same value and gradient bits."""
+    shapes = [(30, 8), (8, 8), (1, 5), (8, 8)]
+    arrays = [rng.normal(size=s).astype(dtype) for s in shapes]
+    results = []
+    for fused in (True, False):
+        leaves = [nm.parameter(a, dtype) for a in arrays[:3]] + [nm.constant(arrays[3], dtype)]
+        if fused:
+            total = nm.sum_squares(leaves)
+        else:
+            total = None
+            for p in leaves:
+                term = nm.sum_all(nm.mul(p, p))
+                total = term if total is None else nm.add(total, term)
+        nm.backward(nm.smul(total, 1e-3))
+        results.append((total.value.tobytes(), [p.adjoint for p in leaves]))
+    assert results[0][0] == results[1][0]
+    for got, want in zip(results[0][1], results[1][1]):
+        assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
 def padded_batch(rng, sizes, d=4, scatter=False):
@@ -365,7 +394,7 @@ class TestSetOps:
         on = nm.parameter(rng.normal(size=(4, 3)), F64)
         off = nm.parameter(rng.normal(size=(4, 3)), F64)
         mask = np.array([True, False, False, True])
-        out = nm.select_rows(mask, on, off)
+        out = select_rows(mask, on, off)
         np.testing.assert_array_equal(out.value, np.where(mask[:, None], on.value, off.value))
         nm.backward(nm.sum_all(out))
         np.testing.assert_array_equal(on.adjoint, np.repeat(mask[:, None], 3, axis=1) * 1.0)

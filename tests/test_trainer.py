@@ -9,6 +9,7 @@ import pytest
 import bundlecraft.numerics as nm
 from bundlecraft import baselines
 from bundlecraft import corpus as C
+from bundlecraft import kernels
 from bundlecraft import trainer as tr
 from bundlecraft.bundle_encoder import encode_sets
 from bundlecraft.cf_pretrain import CfEmbeddings, pretrain
@@ -73,6 +74,25 @@ def nll_oracle(logits, targets):
     return sum(-math.log(probs[t]) for t in targets) / len(logits)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_node_matches_matmul_of_transpose(self, rng, dtype):
+        """One node with no transpose copy against matmul(e, transpose(t)):
+        the same value, and gradients equal to rounding."""
+        e0, t0 = rng.normal(size=(5, 8)).astype(dtype), rng.normal(size=(300, 8)).astype(dtype)
+        g = nm.constant(rng.normal(size=(5, 300)), dtype)
+        grads = []
+        for fn in (tr.score, lambda e, t: nm.matmul(e, nm.transpose(t))):
+            e, t = nm.parameter(e0, dtype), nm.parameter(t0, dtype)
+            out = fn(e, t)
+            nm.backward(nm.sum_all(nm.mul(out, g)))
+            grads.append((out.value, e.adjoint, t.adjoint))
+        assert grads[0][0].tobytes() == grads[1][0].tobytes()
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        for got, want in zip(grads[0][1:], grads[1][1:]):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
 class TestNllLoss:
     def test_uniform_scores(self):
         loss = tr.nll_loss(nm.constant(np.zeros((1, 4)), F64), [{1}])
@@ -113,7 +133,9 @@ class TestNllLoss:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_one_node_matches_the_op_composition(self, rng, dtype):
         """The fused node against log-softmax, a constant mask, mul, sum_all
-        and smul: the same value and gradient bits."""
+        and smul: the same gradient bits. The value sums only the picked
+        entries, in row then column order, so it equals that sum bit for bit
+        and the composition's full-matrix sum to a few ulps."""
         for _ in range(20):
             b, n = int(rng.integers(1, 7)), int(rng.integers(2, 300))
             scores = (rng.normal(size=(b, n)) * 4).astype(dtype)
@@ -127,7 +149,12 @@ class TestNllLoss:
             picked = nm.mul(nm.log_softmax_rows(parts_in), nm.constant(mask, dtype))
             parts = nm.smul(nm.sum_all(picked), -1.0 / (b * n))
             assert fused.parents == (fused_in,)
-            assert fused.value.dtype == dtype and fused.value.tobytes() == parts.value.tobytes()
+            rows, cols = np.nonzero(mask)
+            y = kernels.log_softmax_rows(scores)
+            want = y[rows, cols].sum().reshape(1, 1) * (-1.0 / (b * n))
+            assert fused.value.dtype == dtype and fused.value.tobytes() == want.tobytes()
+            eps = np.finfo(dtype).eps
+            assert abs(fused.item() - parts.item()) <= 8 * eps * abs(parts.item())
             for root in (fused, parts):
                 nm.backward(nm.smul(root, 1.7))
             assert fused_in.adjoint.tobytes() == parts_in.adjoint.tobytes()
@@ -216,6 +243,45 @@ class TestTotalLoss:
             opt.step()
             node2, _ = tr.total_loss(views, model, inputs, np.random.default_rng(9))
             assert node2.item() < before
+
+
+def adam_oracle(values, grads, lr, t, m, v, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The textbook Adam step, one temporary per operation, in place on
+    ``values``, ``m`` and ``v``."""
+    b1t = 1.0 - beta1 ** t
+    b2t = 1.0 - beta2 ** t
+    for p, g, m_, v_ in zip(values, grads, m, v):
+        m_ *= beta1
+        m_ += (1.0 - beta1) * g
+        v_ *= beta2
+        v_ += (1.0 - beta2) * g * g
+        update = (m_ / b1t) / (np.sqrt(v_ / b2t) + eps)
+        p -= lr * update
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_adam_matches_the_textbook_step(rng, dtype):
+    shapes = [(40, 8), (8, 8), (1, 3)]
+    params = [nm.parameter(rng.normal(size=s), dtype) for s in shapes]
+    values = [p.value.copy() for p in params]
+    m = [np.zeros_like(x) for x in values]
+    v = [np.zeros_like(x) for x in values]
+    opt = tr.Adam(params, lr=3e-2)
+    for t in range(1, 8):
+        grads = [(rng.normal(size=s) * 10.0 ** rng.integers(-6, 2)).astype(dtype) for s in shapes]
+        # a parameter without a gradient is skipped and keeps its moments
+        if t == 3:
+            grads[1] = None
+        for p, g in zip(params, grads):
+            p.adjoint = None if g is None else g.copy()
+        opt.step()
+        kept = [(x, g, m_, v_) for x, g, m_, v_ in zip(values, grads, m, v) if g is not None]
+        x, g, m_, v_ = map(list, zip(*kept))
+        adam_oracle(x, g, 3e-2, t, m_, v_)
+        for p, x, m_, v_, m2, v2 in zip(params, values, m, v, opt.m, opt.v):
+            assert p.value.tobytes() == x.tobytes()
+            assert m2.tobytes() == m_.tobytes() and v2.tobytes() == v_.tobytes()
+            assert p.adjoint is None
 
 
 def graph_size(root):
