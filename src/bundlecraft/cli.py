@@ -9,6 +9,7 @@ import argparse
 import json
 import logging
 import sys
+import time
 
 import numpy as np
 
@@ -249,7 +250,9 @@ def cmd_eval(args):
 
 
 def cmd_complete(args):
+    t0 = time.perf_counter()
     catalog, _, _, model, _, _, inputs = _load_model_context(args.model, args.data)
+    loaded = time.perf_counter() - t0
     tokens = [t for t in (s.strip() for s in args.seeds.split(",")) if t]
     if not tokens:
         raise IntegrityError("no seed tokens given")
@@ -262,9 +265,15 @@ def cmd_complete(args):
         else:
             seen.append(t)
     seed_idx = [catalog.item_index[t] for t in seen]
+    t0 = time.perf_counter()
     scorer = make_scorer(model, inputs)
+    t1 = time.perf_counter()
     scores = scorer(sorted(seed_idx))
     ranked = rank_candidates(scores, set(seed_idx), args.k)
+    t2 = time.perf_counter()
+    log.info("complete: load %.3f s, scorer set-up %.3f s, score and rank %.3f ms "
+             "(%d seeds, %d items, k=%d)", loaded, t1 - t0, (t2 - t1) * 1e3, len(seed_idx),
+             len(scores), args.k)
     for i in ranked:
         print(f"{catalog.item_tokens[i]}\t{scores[i]:.6f}")
     return 0

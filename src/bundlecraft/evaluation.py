@@ -25,6 +25,10 @@ SETTINGS = ("standard", "warm", "sparsify", "noisify")
 # score elements per batch of seed sets (4 MiB of float32): scoring many sets
 # holds one batch's score rows at a time
 SCORE_CHUNK = 1 << 20
+# rows of the view whose column maxima bound the k-th score in
+# rank_candidates; 16, 32 and 64 rows ranked 50k-item score rows in about the
+# same time, and fewer rows mean more columns to select the cut from
+RANK_GROUPS = 32
 
 
 def rank_candidates(scores, excluded, k):
@@ -35,26 +39,47 @@ def rank_candidates(scores, excluded, k):
     and NaN below ``-inf``. Fewer than ``k`` indices come back when fewer
     items are left.
 
-    The k-th best kept score is found by selection (``np.partition``); only
-    the items at or above it, every tie at the cut included, are sorted.
+    Only the items at or above a cut are sorted, every tie at the cut
+    included. The cut comes from the column maxima of the row's first
+    ``RANK_GROUPS * c`` scores seen as a ``RANK_GROUPS`` x ``c`` array, with
+    ``c = n // RANK_GROUPS``: it is the ``need``-th largest of the ``c``
+    maxima, where ``need`` is ``k`` plus the number of in-range excluded ids.
+    This is exact: each column maximum is a different item, so at least
+    ``need`` items score at or above the cut and at least ``k`` of them are
+    kept; the k-th best kept score, and every tie with it, is therefore at or
+    above the cut. Items past the grouped head are compared with the cut
+    too. When ``c <= need`` or a column maximum is NaN, the k-th best kept
+    score is found by selection over every kept item (``np.partition``)
+    instead.
     """
     if k < 1:
         raise IntegrityError(f"k must be >= 1, got {k}")
     scores = np.asarray(scores).reshape(-1)
     n = scores.shape[0]
-    key = -scores
-    kept = np.ones(n, dtype=bool)
-    kept[[i for i in excluded if 0 <= i < n]] = False
-    kept_key = key[kept]
+    drop = [i for i in excluded if 0 <= i < n]
+    need = k + len(drop)
+    c = n // RANK_GROUPS
     cand = None
-    if k < kept_key.shape[0]:
-        cut = np.partition(kept_key, k - 1)[k - 1]
-        if not np.isnan(cut):
-            cand = np.flatnonzero((key <= cut) & kept)
+    if c > need:
+        col_max = scores[: RANK_GROUPS * c].reshape(RANK_GROUPS, c).max(axis=0)
+        if not np.isnan(col_max).any():
+            cut = np.partition(col_max, c - need)[c - need]
+            hit = scores >= cut
+            hit[drop] = False
+            cand = np.flatnonzero(hit)
     if cand is None:
-        # nothing to select, or NaN at the cut: sort every kept item
-        cand = np.flatnonzero(kept)
-    order = np.lexsort((cand, key[cand]))
+        key = -scores
+        kept = np.ones(n, dtype=bool)
+        kept[drop] = False
+        kept_key = key[kept]
+        if k < kept_key.shape[0]:
+            cut = np.partition(kept_key, k - 1)[k - 1]
+            if not np.isnan(cut):
+                cand = np.flatnonzero((key <= cut) & kept)
+        if cand is None:
+            # nothing to select, or NaN at the cut: sort every kept item
+            cand = np.flatnonzero(kept)
+    order = np.lexsort((cand, -scores[cand]))
     return cand[order[:k]].tolist()
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -14,7 +15,10 @@ import pytest
 
 import bundlecraft
 from bundlecraft import corpus as C
-from bundlecraft.cli import main
+from bundlecraft.cli import _load_model_context, main
+from bundlecraft.errors import NonFiniteError
+from bundlecraft.evaluation import make_scorer, rank_candidates
+from bundlecraft.trainer import load_checkpoint, save_checkpoint
 from test_corpus import MALFORMED, load_oracle, outcome, write_edited
 
 SPEC = dict(
@@ -389,6 +393,56 @@ class TestCompleteCommand:
                      "--seeds", f"{token},{token}", "--k", "3"]) == 0
         captured = capsys.readouterr()
         assert "duplicate" in captured.err
+
+    def test_logs_timings_and_prints_only_the_ranking(self, pipeline, capsys):
+        _, _, data, _, model = pipeline
+        catalog, _, _ = C.load_dir(data)
+        seeds = sorted(catalog.bundles[0])[:2]
+        tokens = ",".join(catalog.item_tokens[i] for i in seeds)
+        capsys.readouterr()
+        assert main(["complete", "--model", str(model), "--data", str(data),
+                     "--seeds", tokens, "--k", "7"]) == 0
+        captured = capsys.readouterr()
+        lines = [l for l in captured.err.splitlines() if l.startswith("complete: ")]
+        assert len(lines) == 1, captured.err
+        assert re.fullmatch(r"complete: load \d+\.\d{3} s, scorer set-up \d+\.\d{3} s, score and "
+                            rf"rank \d+\.\d{{3}} ms \(2 seeds, {catalog.n_items} items, k=7\)",
+                            lines[0]), lines[0]
+
+        _, _, _, trained, _, _, inputs = _load_model_context(str(model), str(data))
+        scores = make_scorer(trained, inputs)(seeds)
+        expected = "".join(f"{catalog.item_tokens[i]}\t{scores[i]:.6f}\n"
+                           for i in rank_candidates(scores, set(seeds), 7))
+        assert captured.out == expected
+
+    def test_overflowing_set_attention_exits_3(self, pipeline, tmp_path):
+        """Large finite weights overflow the bundle-level attention logits of
+        a seed set (M = Wk Wq^T = 1e38 I, item rows about 100x longer): the
+        scorer raises, and complete exits 3 with no traceback."""
+        _, _, data, _, model_path = pipeline
+        model, epoch, metrics = load_checkpoint(str(model_path))
+        assert model.bundle_params.layers
+        model.item_params.v.value *= 100.0
+        for w_k, w_q in model.bundle_params.layers:
+            w_k.value[...] = 1e19 * np.eye(*w_k.value.shape)
+            w_q.value[...] = 1e19 * np.eye(*w_q.value.shape)
+        bad = tmp_path / "overflow.ckpt"
+        save_checkpoint(str(bad), model, epoch=epoch, metrics=metrics)
+        catalog, _, _ = C.load_dir(data)
+        seeds = sorted(catalog.bundles[0])[:3]
+
+        _, _, _, loaded, _, _, inputs = _load_model_context(str(bad), str(data))
+        scorer = make_scorer(loaded, inputs)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="set attention produced a non-finite value"):
+            scorer(seeds)
+
+        proc = cli_subprocess("complete", "--model", str(bad), "--data", str(data),
+                              "--seeds", ",".join(catalog.item_tokens[i] for i in seeds))
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "numerical failure: set attention produced a non-finite value" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestDamagedBinaryFile:

@@ -47,6 +47,47 @@ def random_case(rng):
     return scores, excluded, k
 
 
+def large_case(rng):
+    """A catalog-sized row, n not a multiple of ``RANK_GROUPS``, with ties at
+    the cut, specials planted in the grouped head or the tail, and an
+    excluded set holding top scorers and out-of-range ids."""
+    g = ev.RANK_GROUPS
+    n = g * int(rng.integers(1_000 // g, 60_000 // g)) + int(rng.integers(1, g))
+    head = g * (n // g)
+    k = int(rng.integers(1, 101))
+    form = rng.choice(["float32", "float64", "int"])
+    if form == "int":
+        scores = rng.integers(-50, 50, size=n)
+    else:
+        scores = rng.normal(size=n).astype(form)
+        if rng.random() < 0.5:
+            # many items tied at about the k-th best score
+            value = np.sort(scores)[-min(n, k + int(rng.integers(0, 40)))]
+            scores[rng.choice(n, size=int(rng.integers(10, 400)), replace=False)] = value
+        if rng.random() < 0.5:
+            where = rng.choice(["head", "tail"])
+            lo, hi = (0, head) if where == "head" else (head, n)
+            specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+            at = rng.integers(lo, hi, size=int(rng.integers(1, 6)))
+            scores[at] = rng.choice(specials, size=at.shape[0])
+    top = np.lexsort((np.arange(n), -scores))[: int(rng.integers(0, 60))]
+    excluded = {int(i) for i in top}
+    excluded |= {int(i) for i in rng.integers(0, n, size=int(rng.integers(0, 130)))}
+    excluded |= {int(i) for i in rng.integers(-20, 0, size=int(rng.integers(0, 6)))}
+    excluded |= {int(i) for i in rng.integers(n, n + 20, size=int(rng.integers(0, 6)))}
+    return scores, excluded, k
+
+
+def takes_bounded_path(scores, excluded, k):
+    """Whether the column-maxima cut applies: more columns than ``need`` and
+    no NaN in the grouped head."""
+    g = ev.RANK_GROUPS
+    n = scores.shape[0]
+    need = k + sum(1 for i in excluded if 0 <= i < n)
+    c = n // g
+    return c > need and not np.isnan(scores[: g * c].astype(np.float64)).any()
+
+
 class TestRankCandidates:
     def test_plain_sort(self):
         assert ev.rank_candidates([3.0, 1.0, 2.0], set(), 2) == [0, 2]
@@ -94,6 +135,73 @@ class TestRankCandidates:
         assert got == rank_oracle(scores, excluded, k)
         kept_tied = sorted(int(i) for i in tied[1:])
         assert got == sorted(int(i) for i in top[1:]) + kept_tied[: k - 9]
+
+    def test_column_maxima_cut_matches_full_sort_oracle(self):
+        rng = np.random.default_rng(13)
+        bounded = 0
+        for _ in range(250):
+            scores, excluded, k = large_case(rng)
+            bounded += takes_bounded_path(scores, excluded, k)
+            assert ev.rank_candidates(scores, excluded, k) == rank_oracle(scores, excluded, k), (
+                scores.shape[0], scores.dtype, k, len(excluded))
+        # both the cut and the selection over every kept item ran
+        assert 100 <= bounded <= 240
+
+    def test_too_few_columns_for_the_cut_selects_over_every_item(self):
+        rng = np.random.default_rng(14)
+        n, k = 290 * ev.RANK_GROUPS + 7, 100
+        scores = rng.normal(size=n).astype(np.float32)
+        scores[rng.choice(n, size=300, replace=False)] = np.sort(scores)[-150]
+        excluded = {int(i) for i in np.argsort(-scores)[:200]} | {-1, n}
+        assert not takes_bounded_path(scores, excluded, k)
+        assert ev.rank_candidates(scores, excluded, k) == rank_oracle(scores, excluded, k)
+
+    @pytest.mark.parametrize("spare", [-1, 0, 1, 2])
+    def test_columns_around_need(self, spare):
+        """``c`` one below, at, and just above ``need``: the last two columns
+        of slack decide between selection and the cut."""
+        rng = np.random.default_rng(15 + spare)
+        k, n_excluded = 20, 6
+        c = k + n_excluded + spare
+        n = ev.RANK_GROUPS * c + 3
+        scores = rng.normal(size=n)
+        excluded = {int(i) for i in np.argsort(-scores)[:n_excluded]}
+        assert takes_bounded_path(scores, excluded, k) == (spare > 0)
+        assert ev.rank_candidates(scores, excluded, k) == rank_oracle(scores, excluded, k)
+
+    def test_cut_holds_exactly_need_items(self):
+        """Descending scores put the best ``c`` items in the first row, one per
+        column, so exactly ``need`` items reach the cut."""
+        n = 100 * ev.RANK_GROUPS + 5
+        scores = np.linspace(1.0, 0.0, n)
+        excluded = {0, 3, 7}
+        assert takes_bounded_path(scores, excluded, 20)
+        assert ev.rank_candidates(scores, excluded, 20) == [
+            i for i in range(23) if i not in excluded]
+
+    def test_nan_in_the_head_selects_over_every_item(self):
+        """NaN column maxima would count as the largest, so the cut is not used."""
+        g = ev.RANK_GROUPS
+        c = 100
+        n = g * c + 5
+        scores = np.linspace(1.0, 0.0, n)
+        scores[(g - 1) * c : (g - 1) * c + 40] = np.nan  # last row, 40 columns
+        excluded = set(range(10))
+        assert not takes_bounded_path(scores, excluded, 20)
+        got = ev.rank_candidates(scores, excluded, 20)
+        assert got == list(range(10, 30))
+        assert got == rank_oracle(scores, excluded, 20)
+
+    def test_nan_in_the_tail_keeps_the_cut_exact(self):
+        g = ev.RANK_GROUPS
+        n = 100 * g + 5
+        scores = np.linspace(0.0, 1.0, n)[::-1].copy()
+        scores[-3:] = [np.nan, np.inf, -0.0]
+        excluded = {0, 1, n + 3}
+        assert takes_bounded_path(scores, excluded, 20)
+        got = ev.rank_candidates(scores, excluded, 20)
+        assert got == [n - 2] + list(range(2, 21))
+        assert got == rank_oracle(scores, excluded, 20)
 
 
 class TestMetrics:
