@@ -212,6 +212,11 @@ def _load_model_context(model_path, data_dir):
     return catalog, features, graph, model, split, warm, inputs
 
 
+def _log_product(product):
+    d, n = product.table_t.shape
+    log.info("scorer set-up: %d items, d=%d, score product %s", n, d, product.describe())
+
+
 def cmd_eval(args):
     if args.repeats < 1:
         raise ConfigError(f"--eval-repeats must be >= 1, got {args.repeats}")
@@ -219,6 +224,7 @@ def cmd_eval(args):
     _, _, test_idx = split
     rng = eval_rng(model.config.seed)
     score_sets = make_set_scorer(model, inputs)
+    _log_product(score_sets.product)
 
     reports = []
     for _ in range(args.repeats):
@@ -268,12 +274,14 @@ def cmd_complete(args):
     t0 = time.perf_counter()
     scorer = make_scorer(model, inputs)
     t1 = time.perf_counter()
+    _log_product(scorer.product)
     scores = scorer(sorted(seed_idx))
     ranked = rank_candidates(scores, set(seed_idx), args.k)
     t2 = time.perf_counter()
     log.info("complete: load %.3f s, scorer set-up %.3f s, score and rank %.3f ms "
-             "(%d seeds, %d items, k=%d)", loaded, t1 - t0, (t2 - t1) * 1e3, len(seed_idx),
-             len(scores), args.k)
+             "(%d seeds, %d items, k=%d, product %s)", loaded, t1 - t0, (t2 - t1) * 1e3,
+             len(seed_idx), len(scores), args.k,
+             "split over 2 threads" if scorer.product.splits(1) else "whole")
     for i in ranked:
         print(f"{catalog.item_tokens[i]}\t{scores[i]:.6f}")
     return 0
@@ -319,7 +327,10 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.func(args)
+        # a numerical failure is reported by the finiteness checks, which
+        # raise, as one line; numpy's warnings on the way would bury it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -171,21 +171,6 @@ def add(a, b):
     return make_node(a.value + b.value, (a, b), rule, "add")
 
 
-def mul(a, b):
-    """Elementwise product of same-shape matrices."""
-    _binary_preflight(a, b, "mul")
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
-
-    def rule(g):
-        if a.requires_grad:
-            accumulate(a, g * b.value)
-        if b.requires_grad:
-            accumulate(b, g * a.value)
-
-    return make_node(a.value * b.value, (a, b), rule, "mul")
-
-
 def smul(a, c):
     """Multiply by a python scalar."""
     c = float(c)
@@ -292,9 +277,10 @@ def log_softmax_pick(a, rows, cols, c):
 def sum_squares(nodes):
     """The sum of squares of every entry of ``nodes`` as a 1x1 node.
 
-    Each node's squares are summed as ``sum_all(mul(p, p))`` sums them, and
-    the per-node totals are added in order; the backward adds ``g * p`` to
-    each node twice, as ``mul(p, p)`` does.
+    Each node's squares are summed by one ``(p * p).sum()``, and the per-node
+    totals are added in order; the backward adds ``g * p`` to each node twice,
+    once for each factor of the product, as an elementwise-product node with
+    ``p`` as both parents would.
     """
     nodes = list(nodes)
     if not nodes:
@@ -313,13 +299,6 @@ def sum_squares(nodes):
                 accumulate(p, grad)
 
     return make_node(total, tuple(nodes), rule, "sum_squares")
-
-
-def sum_all(a):
-    def rule(g):
-        accumulate(a, np.broadcast_to(g, a.shape))
-
-    return make_node(a.value.sum().reshape(1, 1), (a,), rule, "sum_all")
 
 
 def mean_all(a):

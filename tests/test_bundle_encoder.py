@@ -6,6 +6,7 @@ from bundlecraft import bundle_encoder as be
 from bundlecraft.errors import ShapeError
 
 from conftest import numeric_grad, rel_err
+from graph_ops import mul, sum_all
 from test_item_encoder import brute_force_attention
 
 F64 = np.float64
@@ -68,12 +69,12 @@ def test_gradients_match_finite_differences(rng):
     rows_val = rng.normal(size=(3, 4))
     weights = rng.normal(size=(1, 4))
     rows = nm.parameter(rows_val.copy(), F64)
-    loss = nm.sum_all(nm.mul(be.encode_bundle(rows, params), nm.constant(weights, F64)))
+    loss = sum_all(mul(be.encode_bundle(rows, params), nm.constant(weights, F64)))
     nm.backward(loss)
 
     def f():
         out = be.encode_bundle(nm.constant(rows.value, F64), params)
-        return nm.sum_all(nm.mul(out, nm.constant(weights, F64))).item()
+        return sum_all(mul(out, nm.constant(weights, F64))).item()
 
     for name, p in (("wk", params.layers[0][0]), ("wq", params.layers[0][1]), ("rows", rows)):
         analytic = p.adjoint.copy()
@@ -135,7 +136,7 @@ class TestBatchedViews:
         def loss():
             rows, mask = be.gather_members(table, self.SETS)
             e = be.encode_bundle(rows, params, groups=len(self.SETS), mask=mask)
-            return nm.sum_all(nm.mul(e, weights))
+            return sum_all(mul(e, weights))
 
         nm.backward(loss())
         for name, p in (("wk", params.layers[0][0]), ("wq", params.layers[0][1]), ("table", table)):

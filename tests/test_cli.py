@@ -278,8 +278,10 @@ class TestTrainCommand:
         _, _, data, cf, _ = pipeline
         out = tmp_path / "m.ckpt"
         args = ["train", "--data", str(data), "--cf", str(cf), "--out", str(out)]
-        code = main(args + FAST_TRAIN + ["--set", "train.lr=1e12", "--set", "train.epochs=8"])
-        assert code == 3
+        proc = cli_subprocess(*args, *FAST_TRAIN, "--set", "train.lr=1e12", "--set", "train.epochs=8")
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert "numerical failure: non-finite loss at epoch" in proc.stderr
 
 
 class TestEvalCommand:
@@ -406,8 +408,10 @@ class TestCompleteCommand:
         lines = [l for l in captured.err.splitlines() if l.startswith("complete: ")]
         assert len(lines) == 1, captured.err
         assert re.fullmatch(r"complete: load \d+\.\d{3} s, scorer set-up \d+\.\d{3} s, score and "
-                            rf"rank \d+\.\d{{3}} ms \(2 seeds, {catalog.n_items} items, k=7\)",
-                            lines[0]), lines[0]
+                            rf"rank \d+\.\d{{3}} ms \(2 seeds, {catalog.n_items} items, k=7, "
+                            r"product whole\)", lines[0]), lines[0]
+        assert (f"scorer set-up: {catalog.n_items} items, d=8, score product whole "
+                f"(N={catalog.n_items} is not a multiple of 16)") in captured.err.splitlines()
 
         _, _, _, trained, _, _, inputs = _load_model_context(str(model), str(data))
         scores = make_scorer(trained, inputs)(seeds)
@@ -440,7 +444,7 @@ class TestCompleteCommand:
         proc = cli_subprocess("complete", "--model", str(bad), "--data", str(data),
                               "--seeds", ",".join(catalog.item_tokens[i] for i in seeds))
         assert proc.returncode == 3, proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert "numerical failure: set attention produced a non-finite value" in proc.stderr
         assert proc.stdout == ""
 

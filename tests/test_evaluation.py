@@ -1,8 +1,18 @@
+import gc
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import traceback
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bundlecraft
 from bundlecraft import evaluation as ev
 from bundlecraft.corpus import PartialBundleView
 from bundlecraft.errors import IntegrityError
@@ -504,3 +514,240 @@ class TestSetScorer:
         rows = ev.make_set_scorer(model, inputs)(seed_lists)
         for seeds, row in zip(seed_lists, rows, strict=True):
             assert row.tobytes() == one_set_oracle(model, inputs, seeds).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the catalog score product over two threads
+# ---------------------------------------------------------------------------
+
+SWEEP = textwrap.dedent("""
+    import os
+    import numpy as np
+    from bundlecraft import evaluation as ev
+
+    os.sched_getaffinity = lambda pid: {0, 1}  # split on hosts of any size
+    rng = np.random.default_rng(21)
+    split = 0
+    for dtype in (np.float32, np.float64):
+        for d, n in ((16, 2048), (24, 10000), (32, 65536), (64, 50000), (64, 4096),
+                     (128, 50000), (16, 160000), (48, 18016)):
+            table_t = np.ascontiguousarray(rng.standard_normal((n, d)).astype(dtype).T)
+            product = ev.ScoreProduct(table_t)
+            top = ev.SCORE_CHUNK // n
+            low = product.min_rows
+            assert product.whole_because is None and low <= top, (d, n)
+            for g in sorted({low - 1, low, low + 1, (low + top) // 2, top} - {0}):
+                rows = rng.standard_normal((g, d)).astype(dtype)
+                got = product(rows)
+                assert product.splits(g) == (g >= low), (d, n, g)
+                assert np.array_equal(got, rows @ table_t), (np.dtype(dtype).name, d, n, g)
+                split += product.splits(g)
+    print(split)
+""")
+
+
+def one_thread_blas_env():
+    src = str(Path(bundlecraft.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update({var: "1" for var in ev.BLAS_THREAD_VARS})
+    return env
+
+
+def forced_split(monkeypatch, cpus=2):
+    """Let a ScoreProduct split in this process: ``cpus`` CPUs, BLAS pinned."""
+    monkeypatch.setattr(ev.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(ev, "_blas_threads", lambda: 1)
+
+
+def call_bounded(fn, *args, timeout=30):
+    """``fn(*args)`` on a thread joined with a timeout: its result or its
+    exception, and a failure if it is still running."""
+    box = {}
+    errstate = np.geterr()  # numpy's error state is per thread
+
+    def run():
+        try:
+            with np.errstate(**errstate):
+                box["result"] = fn(*args)
+        except BaseException as exc:  # handed to the test
+            box["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), "the score product hung"
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+def table(rng, d, n, dtype=np.float32):
+    return np.ascontiguousarray(rng.standard_normal((n, d)).astype(dtype).T)
+
+
+class TestScoreProduct:
+    def test_split_domain_sweep_matches_the_whole_product(self):
+        """In a fresh interpreter with BLAS on one thread, as the benchmark
+        runs it: every split product equals ``rows @ table_t`` bit for bit,
+        f32 and f64, several d and N (16-aligned halves and not), rows from
+        below the work bound to ``SCORE_CHUNK // N``."""
+        proc = subprocess.run([sys.executable, "-c", SWEEP], capture_output=True, text=True,
+                              env=one_thread_blas_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) >= 2 * 8 * 2  # at least two split products a shape
+
+    @pytest.mark.parametrize("d, n, g, why", [
+        (64, 50001, 1, "N=50001 is not a multiple of 16"),
+        (64, 19032, 20, "N=19032 is not a multiple of 16"),
+        (8, 16, 5, "N=16 is below 32"),
+        (32, 20000, 1, None),  # 32 * 10000 multiply-adds, under SPLIT_MIN_WORK
+    ])
+    def test_shapes_outside_the_domain_run_whole(self, rng, monkeypatch, d, n, g, why):
+        forced_split(monkeypatch)
+        product = ev.ScoreProduct(table(rng, d, n))
+        assert product.whole_because == why
+        rows = rng.standard_normal((g, d)).astype(np.float32)
+        assert not product.splits(g)
+        assert np.array_equal(product(rows), rows @ product.table_t)
+        assert product._thread is None
+
+    def test_unpinned_blas_runs_whole(self, rng, monkeypatch):
+        monkeypatch.setattr(ev.os, "sched_getaffinity", lambda pid: {0, 1})
+        for var in ev.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        assert ev.ScoreProduct(table(rng, 64, 50000)).describe() == "whole (BLAS on every CPU)"
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert ev.ScoreProduct(table(rng, 64, 50000)).describe() == "whole (BLAS on 2 threads)"
+
+    @pytest.mark.parametrize("values, threads", [
+        ({}, None), ({"OPENBLAS_NUM_THREADS": "1"}, 1), ({"OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 3),
+    ])
+    def test_blas_threads_follow_openblas_variable_order(self, monkeypatch, values, threads):
+        for var in ev.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in values.items():
+            monkeypatch.setenv(var, value)
+        assert ev._blas_threads() == threads
+
+    def test_one_cpu_starts_no_thread_and_keeps_the_bits(self, rng, monkeypatch):
+        forced_split(monkeypatch, cpus=1)
+        before = threading.active_count()
+        product = ev.ScoreProduct(table(rng, 64, 50000))
+        assert product.describe() == "whole (one CPU)"
+        for g in (1, 20):
+            rows = rng.standard_normal((g, 64)).astype(np.float32)
+            assert not product.splits(g)
+            assert product(rows).tobytes() == (rows @ product.table_t).tobytes()
+        assert product._thread is None and threading.active_count() == before
+
+    def test_split_runs_on_one_helper_thread_that_ends_with_the_product(self, rng, monkeypatch):
+        forced_split(monkeypatch)
+        product = ev.ScoreProduct(table(rng, 64, 50000))
+        assert product.describe() == "split over 2 threads for 1+ rows"
+        assert product.width == 24992
+        rows = rng.standard_normal((1, 64)).astype(np.float32)
+        for _ in range(3):
+            got = call_bounded(product, rows)
+            np.testing.assert_allclose(got, rows @ product.table_t, rtol=1e-5, atol=1e-5)
+        helper = product._thread
+        assert helper.daemon and helper.is_alive()
+        del product
+        gc.collect()
+        helper.join(10)
+        assert not helper.is_alive()
+
+    def test_exception_in_the_helper_reaches_the_caller(self, rng, monkeypatch):
+        """Only the second block's columns overflow: under ``over="raise"``
+        every call raises FloatingPointError, some from the helper thread (a
+        caller that finds the block unstarted raises its own); under the
+        caller's ``ignore`` the helper warns nothing, and the product still
+        works."""
+        forced_split(monkeypatch)
+        t = table(rng, 64, 50000)
+        product = ev.ScoreProduct(t)
+        t[:, product.width:] = 1e30
+        rows = np.full((1, 64), 1e10, np.float32)
+        from_helper = 0
+        with np.errstate(over="raise"):
+            assert np.isfinite(rows @ t[:, :product.width]).all()
+            for _ in range(20):
+                with pytest.raises(FloatingPointError, match="overflow") as err:
+                    call_bounded(product, rows)
+                frames = traceback.extract_tb(err.value.__traceback__)
+                from_helper += any(f.name == "_serve_blocks" for f in frames)
+        assert from_helper > 0
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = call_bounded(product, rows)
+        assert np.isinf(got[:, product.width:]).all() and np.isfinite(got[:, :product.width]).all()
+        small = rng.standard_normal((1, 64)).astype(np.float32)
+        np.testing.assert_allclose(call_bounded(product, small)[:, :product.width],
+                                   small @ t[:, :product.width], rtol=1e-5, atol=1e-5)
+
+    def test_caller_computes_a_block_the_helper_has_not_started(self, rng, monkeypatch):
+        """A helper held before its first job: the caller computes both blocks
+        and returns; released, the helper skips that job and serves the next."""
+        forced_split(monkeypatch)
+        gate = threading.Event()
+        serve = ev._serve_blocks
+        monkeypatch.setattr(ev, "_serve_blocks", lambda jobs: gate.wait(60) and serve(jobs))
+        product = ev.ScoreProduct(table(rng, 64, 50000))
+        rows = rng.standard_normal((2, 64)).astype(np.float32)
+        want = rows @ product.table_t
+        try:
+            np.testing.assert_allclose(call_bounded(product, rows, timeout=20), want,
+                                       rtol=1e-5, atol=1e-5)
+            assert product._thread.is_alive()
+        finally:
+            gate.set()
+        for _ in range(3):
+            np.testing.assert_allclose(call_bounded(product, rows), want, rtol=1e-5, atol=1e-5)
+
+    def test_concurrent_callers_each_get_their_own_rows(self, rng, monkeypatch):
+        forced_split(monkeypatch)
+        product = ev.ScoreProduct(table(rng, 32, 65536))
+        assert product.splits(1)
+        rows = [rng.standard_normal((1 + i % 3, 32)).astype(np.float32) for i in range(6)]
+        want = [r @ product.table_t for r in rows]
+        wrong = []
+
+        def caller(i):
+            for _ in range(25):
+                got = product(rows[i])
+                if got.shape != want[i].shape or not np.allclose(got, want[i], rtol=1e-5,
+                                                                  atol=1e-5):
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller, args=(i,), daemon=True)
+                       for i in range(len(rows))]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(c.is_alive() for c in callers)
+        assert wrong == []
+
+    def test_scorers_carry_the_product_and_split_through_it(self, rng, monkeypatch):
+        forced_split(monkeypatch)
+        model, inputs = random_model(rng, 4096, True)
+        scorer = ev.make_scorer(model, inputs)
+        score_sets = ev.make_set_scorer(model, inputs)
+        # d = 8: 8 * 2048 multiply-adds a row, so 64 rows split
+        assert scorer.product.min_rows == score_sets.product.min_rows == 64
+        assert not scorer.product.splits(1)
+        seed_lists = [[i, i + 7] for i in range(0, 200, 2)]
+        rows = list(score_sets(seed_lists))
+        assert score_sets.product._thread is not None
+        for seeds, row in zip(seed_lists, rows, strict=True):
+            want = scorer(seeds)
+            np.testing.assert_allclose(row, want, rtol=1e-5, atol=1e-6)
+            assert ev.rank_candidates(row, set(seeds), 10) == ev.rank_candidates(
+                want, set(seeds), 10)
+

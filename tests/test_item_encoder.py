@@ -10,6 +10,7 @@ from bundlecraft.corpus import FeatureTable
 from bundlecraft.errors import ShapeError
 
 from conftest import numeric_grad, rel_err
+from graph_ops import mul, select_rows, sum_all, vconcat
 
 F64 = np.float64
 
@@ -83,40 +84,8 @@ def slot_rows(inputs, params, i, **kw):
 
 
 # ---------------------------------------------------------------------------
-# the graph-op composition the fused table node replaced, kept as its oracle,
-# with the two graph ops only it used
+# the graph-op composition the fused table node replaced, kept as its oracle
 # ---------------------------------------------------------------------------
-
-def vconcat(nodes):
-    """Stack nodes' rows; each gets its slice of the gradient back."""
-    nodes = list(nodes)
-    if not nodes or len({(n.shape[1], n.dtype) for n in nodes}) != 1:
-        raise ShapeError("vconcat: no inputs, or column counts or dtypes differ")
-    offsets = np.cumsum([0] + [n.shape[0] for n in nodes])
-
-    def rule(g):
-        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            nm.accumulate(n, g[lo:hi, :])
-
-    value = np.concatenate([n.value for n in nodes], axis=0)
-    return nm.make_node(value, tuple(nodes), rule, "vconcat")
-
-
-def select_rows(mask, on, off):
-    """Row-wise select: row r of ``on`` where ``mask[r]``, else row r of
-    ``off``; each row's gradient flows only to the branch it came from."""
-    mask = np.asarray(mask, dtype=bool).reshape(-1, 1)
-    if on.shape != off.shape or on.dtype != off.dtype or mask.shape[0] != on.shape[0]:
-        raise ShapeError(f"select_rows: {mask.shape[0]} mask rows for {on.shape}, {off.shape}")
-
-    def rule(g):
-        if on.requires_grad:
-            nm.accumulate(on, np.where(mask, g, 0.0))
-        if off.requires_grad:
-            nm.accumulate(off, np.where(mask, 0.0, g))
-
-    return nm.make_node(np.where(mask, on.value, off.value), (on, off), rule, "select_rows")
-
 
 def composed_item_slots(inputs, params, slot_fill="projected", use_feedback=True,
                         use_attention=True, dtype=F64):
@@ -315,7 +284,7 @@ class TestEncodeItem:
         weights = nm.constant(rng.normal(size=(4, 4)), F64)
 
         def loss():
-            return nm.sum_all(nm.mul(ie.encode_item_table(inputs, params, dtype=F64), weights))
+            return sum_all(mul(ie.encode_item_table(inputs, params, dtype=F64), weights))
 
         nm.backward(loss())
         named = [
@@ -432,7 +401,7 @@ class TestRowRestriction:
 
         def loss():
             sub = ie.encode_item_table(inputs.take(rows), params, dtype=F64)
-            return nm.sum_all(nm.mul(sub, weights))
+            return sum_all(mul(sub, weights))
 
         nm.backward(loss())
         named = [
@@ -483,7 +452,7 @@ class TestFusedTableNode:
         weights = nm.constant(np.random.default_rng(5).normal(size=fused.shape), F64)
         grads = []
         for table in (fused, oracle):
-            nm.backward(nm.sum_all(nm.mul(table, weights)))
+            nm.backward(sum_all(mul(table, weights)))
             grads.append({name: None if p.adjoint is None else p.adjoint.copy()
                           for name, p in self.named(params)})
             nm.zero_adjoints([p for _, p in self.named(params)])

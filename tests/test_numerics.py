@@ -8,7 +8,7 @@ from bundlecraft import kernels
 from bundlecraft.errors import DegenerateVectorError, GraphError, NonFiniteError, ShapeError
 
 from conftest import numeric_grad, rel_err
-from test_item_encoder import select_rows, vconcat
+from graph_ops import mul, select_rows, sum_all, vconcat
 from test_kernels import softmax_rows_grad_oracle, softmax_rows_oracle
 
 F64 = np.float64
@@ -36,11 +36,11 @@ class TestMatmul:
         a = nm.parameter(rng.normal(size=(3, 4)), F64)
         b_val = rng.normal(size=(4, 2))
 
-        loss = nm.sum_all(nm.matmul(a, nm.constant(b_val, F64)))
+        loss = sum_all(nm.matmul(a, nm.constant(b_val, F64)))
         nm.backward(loss)
 
         def f():
-            return nm.sum_all(nm.matmul(nm.constant(a.value, F64), nm.constant(b_val, F64))).item()
+            return sum_all(nm.matmul(nm.constant(a.value, F64), nm.constant(b_val, F64))).item()
 
         num = numeric_grad(f, a.value, h=1e-5)
         assert rel_err(a.adjoint, num) < 1e-6
@@ -89,12 +89,12 @@ class TestMeanRows:
     def test_backward_distributes_evenly(self, rng):
         x = nm.parameter(rng.normal(size=(4, 3)), F64)
         w = rng.normal(size=(1, 3))
-        loss = nm.sum_all(nm.mul(nm.group_mean(x), nm.constant(w, F64)))
+        loss = sum_all(mul(nm.group_mean(x), nm.constant(w, F64)))
         nm.backward(loss)
 
         def f():
             m = nm.group_mean(nm.constant(x.value, F64))
-            return nm.sum_all(nm.mul(m, nm.constant(w, F64))).item()
+            return sum_all(mul(m, nm.constant(w, F64))).item()
 
         num = numeric_grad(f, x.value)
         assert rel_err(x.adjoint, num) < 1e-6
@@ -144,13 +144,13 @@ class TestCosine:
 class TestBackwardContract:
     def test_sum_gives_ones(self, rng):
         w = nm.parameter(rng.normal(size=(3, 4)), F64)
-        loss = nm.sum_all(w)
+        loss = sum_all(w)
         nm.backward(loss)
         np.testing.assert_array_equal(w.adjoint, np.ones((3, 4)))
 
     def test_null_loss_gives_zeros(self, rng):
         w = nm.parameter(rng.normal(size=(3, 4)), F64)
-        loss = nm.smul(nm.sum_all(w), 0.0)
+        loss = nm.smul(sum_all(w), 0.0)
         nm.backward(loss)
         np.testing.assert_array_equal(w.adjoint, np.zeros((3, 4)))
 
@@ -161,14 +161,14 @@ class TestBackwardContract:
 
     def test_repeated_backward_rejected(self, rng):
         w = nm.parameter(rng.normal(size=(2, 2)), F64)
-        loss = nm.sum_all(w)
+        loss = sum_all(w)
         nm.backward(loss)
         with pytest.raises(GraphError):
             nm.backward(loss)
 
     def test_fanout_adjoints_sum(self, rng):
         w = nm.parameter(rng.normal(size=(2, 2)), F64)
-        loss = nm.sum_all(nm.add(w, w))
+        loss = sum_all(nm.add(w, w))
         nm.backward(loss)
         np.testing.assert_array_equal(w.adjoint, 2 * np.ones((2, 2)))
 
@@ -181,7 +181,7 @@ class TestHardErrors:
     def test_overflow_is_hard_error(self):
         big = nm.constant(np.full((1, 1), 1e308), F64)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            nm.mul(big, big)
+            mul(big, big)
 
     def test_mixed_dtypes_rejected(self):
         with pytest.raises(ShapeError):
@@ -219,31 +219,31 @@ def _op_cases(rng):
 
     def attn(h, wk, wq, m=None):
         out = nm.set_attention(h, wk, wq, 3, m)
-        return nm.sum_all(nm.mul(nm.group_mean(out, 3, m), nm.constant(g3, F64)))
+        return sum_all(mul(nm.group_mean(out, 3, m), nm.constant(g3, F64)))
 
     return [
-        ("add", lambda p: nm.sum_all(nm.mul(nm.add(p, nm.constant(b, F64)), nm.constant(b, F64))), a),
-        ("mul", lambda p: nm.sum_all(nm.mul(p, nm.constant(b, F64))), a),
-        ("smul", lambda p: nm.sum_all(nm.smul(p, 2.7)), a),
-        ("sdiv", lambda p: nm.sum_all(nm.sdiv(p, 3.1)), a),
-        ("matmul", lambda p: nm.sum_all(nm.matmul(p, nm.constant(m2, F64))), a),
-        ("transpose", lambda p: nm.sum_all(nm.mul(nm.transpose(p), nm.constant(b.T.copy(), F64))), a),
-        ("log_softmax", lambda p: nm.sum_all(nm.mul(nm.log_softmax_rows(p), nm.constant(b, F64))), a),
+        ("add", lambda p: sum_all(mul(nm.add(p, nm.constant(b, F64)), nm.constant(b, F64))), a),
+        ("mul", lambda p: sum_all(mul(p, nm.constant(b, F64))), a),
+        ("smul", lambda p: sum_all(nm.smul(p, 2.7)), a),
+        ("sdiv", lambda p: sum_all(nm.sdiv(p, 3.1)), a),
+        ("matmul", lambda p: sum_all(nm.matmul(p, nm.constant(m2, F64))), a),
+        ("transpose", lambda p: sum_all(mul(nm.transpose(p), nm.constant(b.T.copy(), F64))), a),
+        ("log_softmax", lambda p: sum_all(mul(nm.log_softmax_rows(p), nm.constant(b, F64))), a),
         ("log_softmax_pick", lambda p: nm.log_softmax_pick(p, *np.nonzero(b > 0), -0.3), a),
-        ("matmul_nt", lambda p: nm.sum_all(nm.mul(nm.matmul_nt(p, nm.constant(b, F64)),
+        ("matmul_nt", lambda p: sum_all(mul(nm.matmul_nt(p, nm.constant(b, F64)),
                                                   nm.constant(sq[:3, :3], F64))), a),
-        ("matmul_nt_right", lambda p: nm.sum_all(nm.mul(nm.matmul_nt(nm.constant(b, F64), p),
+        ("matmul_nt_right", lambda p: sum_all(mul(nm.matmul_nt(nm.constant(b, F64), p),
                                                         nm.constant(sq[:3, :3], F64))), a),
         ("sum_squares", lambda p: nm.sum_squares([p, nm.smul(p, -0.5), nm.constant(b, F64)]), a),
-        ("mean_all", lambda p: nm.mean_all(nm.mul(p, p)), a),
-        ("normalize", lambda p: nm.sum_all(nm.mul(nm.normalize_rows(p), nm.constant(b, F64))), a),
-        ("vconcat", lambda p: nm.sum_all(nm.mul(vconcat([p, p]), nm.constant(np.vstack([b, b]), F64))), a),
-        ("take_rows", lambda p: nm.sum_all(nm.take_rows(p, [0, 2, 2])), a),
-        ("take_diag", lambda p: nm.sum_all(nm.take_diag(p)), sq),
-        ("select_rows", lambda p: nm.sum_all(nm.mul(
+        ("mean_all", lambda p: nm.mean_all(mul(p, p)), a),
+        ("normalize", lambda p: sum_all(mul(nm.normalize_rows(p), nm.constant(b, F64))), a),
+        ("vconcat", lambda p: sum_all(mul(vconcat([p, p]), nm.constant(np.vstack([b, b]), F64))), a),
+        ("take_rows", lambda p: sum_all(nm.take_rows(p, [0, 2, 2])), a),
+        ("take_diag", lambda p: sum_all(nm.take_diag(p)), sq),
+        ("select_rows", lambda p: sum_all(mul(
             select_rows(rows, p, nm.smul(p, -2.0)), nm.constant(b, F64))), a),
-        ("group_mean", lambda p: nm.sum_all(nm.mul(nm.group_mean(p, 3), nm.constant(g3, F64))), sets),
-        ("group_mean_masked", lambda p: nm.sum_all(nm.mul(
+        ("group_mean", lambda p: sum_all(mul(nm.group_mean(p, 3), nm.constant(g3, F64))), sets),
+        ("group_mean_masked", lambda p: sum_all(mul(
             nm.group_mean(p, 3, mask), nm.constant(g3, F64))), sets),
         ("set_attention_h", lambda p: attn(p, nm.constant(sq, F64), nm.constant(sq.T.copy(), F64)), sets),
         ("set_attention_h_masked", lambda p: attn(
@@ -290,7 +290,7 @@ def test_sum_squares_matches_the_op_composition(rng, dtype):
         else:
             total = None
             for p in leaves:
-                term = nm.sum_all(nm.mul(p, p))
+                term = sum_all(mul(p, p))
                 total = term if total is None else nm.add(total, term)
         nm.backward(nm.smul(total, 1e-3))
         results.append((total.value.tobytes(), [p.adjoint for p in leaves]))
@@ -339,7 +339,7 @@ class TestSetOps:
             # padded rows come out zero and receive no gradient
             assert not rows[~mask].any()
             h = nm.parameter(x, F64)
-            nm.backward(nm.sum_all(nm.set_attention(h, nm.constant(wk, F64), nm.constant(wq, F64),
+            nm.backward(sum_all(nm.set_attention(h, nm.constant(wk, F64), nm.constant(wq, F64),
                                                     groups, mask)))
             assert not h.adjoint.reshape(-1, groups, 4)[~mask].any()
 
@@ -396,7 +396,7 @@ class TestSetOps:
         mask = np.array([True, False, False, True])
         out = select_rows(mask, on, off)
         np.testing.assert_array_equal(out.value, np.where(mask[:, None], on.value, off.value))
-        nm.backward(nm.sum_all(out))
+        nm.backward(sum_all(out))
         np.testing.assert_array_equal(on.adjoint, np.repeat(mask[:, None], 3, axis=1) * 1.0)
         np.testing.assert_array_equal(off.adjoint, np.repeat(~mask[:, None], 3, axis=1) * 1.0)
 
@@ -461,7 +461,7 @@ class TestSetAttentionOracle:
                       for a, r in zip(arrays, grads)]
             out = nm.set_attention(*leaves, groups, mask)
             check(out.value, want[0])
-            nm.backward(nm.sum_all(nm.mul(out, nm.constant(g, dtype))))
+            nm.backward(sum_all(mul(out, nm.constant(g, dtype))))
             for leaf, takes_grad, grad in zip(leaves, grads, want[1:]):
                 if takes_grad:
                     check(leaf.adjoint, grad)

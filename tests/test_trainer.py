@@ -21,6 +21,8 @@ from bundlecraft.evaluation import make_scorer
 from bundlecraft.item_encoder import ItemInputs, build_item_inputs, encode_item_table
 from bundlecraft.synth import SynthSpec, generate
 
+from graph_ops import mul, sum_all
+
 F64 = np.float64
 
 
@@ -84,7 +86,7 @@ def nll_oracle(logits, targets):
         for fn in (tr.score, lambda e, t: nm.matmul(e, nm.transpose(t))):
             e, t = nm.parameter(e0, dtype), nm.parameter(t0, dtype)
             out = fn(e, t)
-            nm.backward(nm.sum_all(nm.mul(out, g)))
+            nm.backward(sum_all(mul(out, g)))
             grads.append((out.value, e.adjoint, t.adjoint))
         assert grads[0][0].tobytes() == grads[1][0].tobytes()
         tol = 1e-12 if dtype == np.float64 else 1e-5
@@ -146,8 +148,8 @@ class TestNllLoss:
                 mask[r, sorted(targets)] = 1.0
             fused_in, parts_in = nm.parameter(scores, dtype), nm.parameter(scores, dtype)
             fused = tr.nll_loss(fused_in, target_sets)
-            picked = nm.mul(nm.log_softmax_rows(parts_in), nm.constant(mask, dtype))
-            parts = nm.smul(nm.sum_all(picked), -1.0 / (b * n))
+            picked = mul(nm.log_softmax_rows(parts_in), nm.constant(mask, dtype))
+            parts = nm.smul(sum_all(picked), -1.0 / (b * n))
             assert fused.parents == (fused_in,)
             rows, cols = np.nonzero(mask)
             y = kernels.log_softmax_rows(scores)
@@ -541,7 +543,7 @@ def full_aug_total_loss_oracle(views, model, inputs, rng, all_views=None):
     loss = nm.add(loss, nm.smul(info_nce(e_pool, e_aug, cfg.augment.tau), cfg.alpha2))
     l2 = None
     for p in model.trainables():
-        term = nm.sum_all(nm.mul(p, p))
+        term = sum_all(mul(p, p))
         l2 = term if l2 is None else nm.add(l2, term)
     return nm.add(loss, nm.smul(l2, cfg.beta))
 
