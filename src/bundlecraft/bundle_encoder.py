@@ -83,11 +83,15 @@ def attention_matrices(params, use_attention=True):
 
 
 def encode_sets_forward(table, seed_sets, matrices):
-    """:func:`encode_sets`'s value, bit for bit, from a plain array ``table``
-    and the layers' :func:`attention_matrices`; builds no graph node."""
+    """:func:`encode_sets`'s value, bit for bit, from a plain N x d array
+    ``table`` of any layout (the scorers pass the transpose of their d x N
+    table) and the layers' :func:`attention_matrices`; builds no graph
+    node."""
     idx, mask = member_index(seed_sets)
     size, groups = idx.shape
-    h = table[idx.reshape(-1)]
+    # C-contiguous rows whatever the table's layout: the products' bits
+    # depend on it
+    h = np.ascontiguousarray(table[idx.reshape(-1)])
     for m in matrices:
         h = nm.attention_forward(h, m, size, groups, mask)[0]
         nm.check_finite(h, "set attention")

@@ -2,12 +2,15 @@
 
 A model scores seed sets on one batched path: :func:`make_set_scorer`
 chunks many sets through it and :func:`make_scorer` scores a batch of one.
-Scores are one product of the batch's set vectors with the d x N catalog
-table, run by :class:`ScoreProduct`: where that is known to keep the bits
-of the product taken whole on one thread, the calling thread computes the
-first half of the columns and a helper thread the second, so both CPUs of a
-two-CPU host read the table (it stays in the last-level cache between
-queries, so one core's read rate, not memory, bounded the whole product).
+Set-up encodes the catalog forward only, building no graph, straight into
+one contiguous d x N table, the only copy of the table the scorer holds;
+seed rows are gathered from its transpose. Scores are one product of the
+batch's set vectors with that table, run by :class:`ScoreProduct`: where
+that is known to keep the bits of the product taken whole on one thread,
+the calling thread computes the first half of the columns and a helper
+thread the second, so both CPUs of a two-CPU host read the table (it stays
+in the last-level cache between queries, so one core's read rate, not
+memory, bounded the whole product).
 Metrics use binary relevance. Seeds that the encoder actually saw
 (post-corruption, for the sparsify/noisify settings) are excluded from the
 candidate pool: the task is completion, not re-retrieval. The warm setting
@@ -28,7 +31,7 @@ from . import numerics as nm
 from .bundle_encoder import attention_matrices, encode_sets_forward
 from .corpus import corrupt_partial
 from .errors import IntegrityError
-from .item_encoder import attended_slots, encode_item_table
+from .item_encoder import attended_slots, encode_item_table_forward
 
 SETTINGS = ("standard", "warm", "sparsify", "noisify")
 
@@ -298,15 +301,18 @@ class ScoreProduct:
 
 
 def _batch_scorer(model, inputs):
-    """Encode the catalog once, forward only. Returns N, the
-    :class:`ScoreProduct` and ``score_batch(sorted_seed_lists)``: the G x N
-    scores of G seed lists, encoded as one padded batch with no graph and
-    scored by one product with the catalog table."""
+    """Encode the catalog once, forward only, into one contiguous d x N
+    table. Returns N, the :class:`ScoreProduct` and
+    ``score_batch(sorted_seed_lists)``: the G x N scores of G seed lists,
+    encoded as one padded batch with no graph and scored by one product with
+    the catalog table."""
     cfg = model.config
     dtype = nm.DTYPES[cfg.precision]
-    table = encode_item_table(inputs, model.item_params, cfg.slot_fill, cfg.ablation.use_feedback,
-                              cfg.ablation.use_item_attention, dtype).value
-    product = ScoreProduct(np.ascontiguousarray(table.T))
+    table_t = np.empty((model.item_params.d, inputs.n_items), dtype=dtype)
+    table = encode_item_table_forward(inputs, model.item_params, cfg.slot_fill,
+                                      cfg.ablation.use_feedback,
+                                      cfg.ablation.use_item_attention, dtype, out=table_t.T)
+    product = ScoreProduct(table_t)
     matrices = attention_matrices(model.bundle_params, cfg.ablation.use_bundle_attention)
 
     def score_batch(seed_lists):

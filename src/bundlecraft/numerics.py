@@ -77,11 +77,17 @@ class GraphNode:
         return f"GraphNode(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
 
-def constant(data, dtype=np.float32):
-    """Leaf that never receives a gradient."""
+def finite_matrix(data, dtype=np.float32):
+    """``data`` as the checked C-contiguous matrix a :func:`constant` holds,
+    with no node; a copy only when the dtype or layout differs."""
     value = _as_matrix(data, dtype)
     check_finite(value, "constant")
-    return GraphNode(value)
+    return value
+
+
+def constant(data, dtype=np.float32):
+    """Leaf that never receives a gradient."""
+    return GraphNode(finite_matrix(data, dtype))
 
 
 def parameter(data, dtype=np.float32):

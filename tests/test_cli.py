@@ -580,6 +580,21 @@ class TestMalformedCheckpoint:
         assert "Traceback" not in proc.stderr
         return proc.stderr
 
+    @pytest.mark.parametrize("cut", ["header", "payload"])
+    def test_truncated_checkpoint_exits_2_with_one_error_line(self, pipeline, tmp_path, cut):
+        _, _, data, _, model = pipeline
+        blob = Path(model).read_bytes()
+        (jlen,) = struct.unpack_from("<I", blob, 8)
+        bad = tmp_path / "truncated.ckpt"
+        bad.write_bytes(blob[: 12 + jlen // 2 if cut == "header" else len(blob) // 2])
+        token = C.load_dir(data)[0].item_tokens[0]
+        proc = cli_subprocess("complete", "--model", str(bad), "--data", str(data),
+                              "--seeds", token)
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {bad}: "), proc.stderr
+
     def test_header_without_matrices_exits_2(self, pipeline, tmp_path):
         _, _, data, _, model = pipeline
         bad = self.edited(model, tmp_path, lambda header: header.pop("matrices"))

@@ -433,7 +433,7 @@ class TestExplain:
 # model-backed set scorer against the one-set direct gather it replaced
 # ---------------------------------------------------------------------------
 
-def random_model(rng, n, attention):
+def random_model(rng, n, attention, d=8, item_layers=1, feat=5, cfd=3):
     import copy
 
     from bundlecraft.cf_pretrain import CfEmbeddings
@@ -441,9 +441,8 @@ def random_model(rng, n, attention):
     from bundlecraft.item_encoder import ItemInputs
     from bundlecraft.trainer import init_model
 
-    feat, cfd = 5, 3
     cfgd = copy.deepcopy(DEFAULTS)
-    cfgd["model"]["d"] = 8
+    cfgd["model"].update(d=d, l_layers=item_layers)
     cfgd["ablation"].update(use_item_attention=attention, use_bundle_attention=attention)
     cf = CfEmbeddings(user_table=np.zeros((2, cfd), np.float32),
                       item_table=rng.normal(size=(n, cfd)).astype(np.float32), k_layers=1)
@@ -514,6 +513,63 @@ class TestSetScorer:
         rows = ev.make_set_scorer(model, inputs)(seed_lists)
         for seeds, row in zip(seed_lists, rows, strict=True):
             assert row.tobytes() == one_set_oracle(model, inputs, seeds).tobytes()
+
+    def test_scorers_build_no_graph_node(self, rng, monkeypatch):
+        from bundlecraft import numerics as nm
+
+        model, inputs = random_model(rng, self.N, True)
+        built = []
+        init = nm.GraphNode.__init__
+
+        def counted(node, *args, **kwargs):
+            built.append(node)
+            init(node, *args, **kwargs)
+
+        monkeypatch.setattr(nm.GraphNode, "__init__", counted)
+        scorer = ev.make_scorer(model, inputs)
+        scorer([1, 4])
+        score_sets = ev.make_set_scorer(model, inputs)
+        assert len(list(score_sets(self.seed_lists(rng, 6)))) == 6
+        assert built == []
+
+    def test_scorer_set_up_allocates_the_table_and_a_few_tiles(self, rng):
+        """make_scorer's peak allocation is the d x N table plus a few tiles of
+        the forward pass (about 7 ``TILE_BYTES`` at two item layers, the
+        inputs' finiteness checks included), not a graph node's backward
+        caches and a transposed copy of the table."""
+        import tracemalloc
+
+        from bundlecraft.item_encoder import TILE_BYTES
+
+        n, d = 20000, 32
+        model, inputs = random_model(rng, n, True, d=d, item_layers=2, feat=8, cfd=8)
+        table_bytes = n * d * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scorer = ev.make_scorer(model, inputs)
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert now - before >= table_bytes
+        assert peak - before <= table_bytes + 10 * TILE_BYTES, (peak - before) / TILE_BYTES
+        assert scorer([0, 7]).shape == (n,)
+
+    @pytest.mark.parametrize("where, message", [
+        ("content", "constant"), ("weight", "encode_item_table"),
+    ])
+    def test_non_finite_model_raises_as_before(self, rng, where, message):
+        from bundlecraft.errors import NonFiniteError
+
+        model, inputs = random_model(rng, self.N, True)
+        if where == "content":
+            inputs.content[3, 0] = np.nan
+        else:
+            model.item_params.layers[0][0].value[0, 0] = np.inf
+        for make in (ev.make_scorer, ev.make_set_scorer):
+            with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+                    NonFiniteError, match=f"^{message} produced a non-finite value$"):
+                make(model, inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,26 @@ class TestContentFeature:
         with pytest.raises(ShapeError):
             self.content_of(None, None)
 
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_cf_table_left_unmodified(self, rng, dtype):
+        n = 6
+        text = rng.normal(size=(n, 4)).astype(np.float32)
+        features = FeatureTable(text=text, text_present=np.ones(n, dtype=bool),
+                                media=np.zeros((n, 4), np.float32),
+                                media_present=np.zeros(n, dtype=bool))
+        item_table = rng.normal(size=(n, 3)).astype(np.float32)
+        intact = item_table.copy()
+        degree = np.array([0, 2, 0, 1, 5, 0])
+        inputs = ie.build_item_inputs(
+            SimpleNamespace(n_items=n), features, SimpleNamespace(item_table=item_table),
+            SimpleNamespace(item_degree=degree), frozenset({1, 4}), dtype,
+        )
+        assert item_table.tobytes() == intact.tobytes()
+        want = np.where((degree > 0)[:, None], intact.astype(dtype), 0)
+        assert inputs.feedback.dtype == dtype and inputs.feedback.tobytes() == want.tobytes()
+        assert inputs.content.dtype == dtype and not np.shares_memory(inputs.content, text)
+        np.testing.assert_array_equal(inputs.content, text.astype(dtype))
+
 
 class TestBuildFeatureMatrix:
     """The slot stack: slot s of item i is row s * N + i."""
@@ -447,6 +467,12 @@ class TestFusedTableNode:
         oracle = composed_item_table(inputs, params, dtype=dtype, **kw)
         assert fused.value.dtype == dtype
         assert fused.value.tobytes() == oracle.value.tobytes()
+        # the inference entry, into a new table and into a d x N table's transpose
+        table_t = np.empty(fused.shape[::-1], dtype=dtype)
+        for out in (None, table_t.T):
+            table = ie.encode_item_table_forward(inputs, params, dtype=dtype, out=out, **kw)
+            assert out is None or table is out
+            assert table.tobytes() == fused.value.tobytes()
         if dtype != F64:
             return
         weights = nm.constant(np.random.default_rng(5).normal(size=fused.shape), F64)
@@ -510,21 +536,72 @@ class TestFusedTableNode:
         assert slots.tobytes() == want.tobytes()
         assert table.tobytes() == composed_item_table(inputs, params).value.tobytes()
 
-    @pytest.mark.parametrize("where", ["content", "feedback", "weight"])
+    @pytest.mark.parametrize("where", ["content", "feedback", "weight", "id_row"])
     def test_non_finite_values_raise(self, rng, monkeypatch, where):
+        """Both entries raise the same error; an id row feeds only the middle
+        of three tiles."""
         from bundlecraft.errors import NonFiniteError
 
         monkeypatch.setattr(ie, "TILE_BYTES", 4 * ie.N_SLOTS * 4 * 8)
         params, inputs = self.setup(rng, 11)
         if where == "weight":
             params.layers[1][0].value[0, 0] = np.inf
+        elif where == "id_row":
+            inputs.id_warm[5] = True
+            params.v.value[5, 1] = np.nan
         else:
             getattr(inputs, where)[9, 1] = np.nan
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-            ie.encode_item_table(inputs, params, dtype=F64)
+        errors = []
+        for encode in (ie.encode_item_table, ie.encode_item_table_forward):
+            with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as err:
+                encode(inputs, params, dtype=F64)
+            errors.append(str(err.value))
+        op = "constant" if where in ("content", "feedback") else "encode_item_table"
+        assert errors[0] == errors[1] == f"{op} produced a non-finite value"
+
+    def test_forward_rejects_a_table_of_the_wrong_shape_or_dtype(self, rng):
+        params, inputs = self.setup(rng, 6)
+        for out in (np.empty((6, 3)), np.empty((4, 6)).T[:5], np.empty((6, 4), np.float32)):
+            with pytest.raises(ShapeError):
+                ie.encode_item_table_forward(inputs, params, dtype=F64, out=out)
 
     def test_one_graph_node(self, rng):
         params, inputs = self.setup(rng, 6)
         table = ie.encode_item_table(inputs.take([4, 1, 1]), params, dtype=F64)
         assert set(map(id, table.parents)) == {id(p) for _, p in self.named(params)}
         assert all(p.parents == () for p in table.parents)
+
+
+class TestIdRowScatter:
+    """V's id-slot gradient: strictly increasing rows take a plain indexed
+    add, others ``np.add.at``; both give ``np.add.at``'s bits."""
+
+    @pytest.mark.parametrize("rows", [
+        [0, 3, 4, 9, 12], [7], [2, 2, 5, 11, 11, 11], [9, 4, 1], [12, 0, 0, 7],
+    ], ids=["increasing", "one", "repeats", "decreasing", "unsorted_repeats"])
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_add_rows_has_add_at_bits(self, rng, rows, dtype):
+        target = rng.normal(size=(13, 6)).astype(dtype)
+        grad = rng.normal(size=(len(rows), 6)).astype(dtype)
+        want = target.copy()
+        np.add.at(want, np.array(rows), grad)
+        ie._add_rows(target, np.array(rows), grad)
+        assert target.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [sorted({12, 0, 7, 3, 9, 5}), [11, 2, 2, 5, 2]],
+                             ids=["anchors", "repeats"])
+    def test_v_gradient_matches_add_at_path(self, rng, monkeypatch, rows):
+        """The backward over three tiles, against the same backward with
+        every scatter through ``np.add.at``."""
+        monkeypatch.setattr(ie, "TILE_BYTES", 2 * ie.N_SLOTS * 4 * 4)
+        params = ie.init_item_params(13, 5, 3, 4, 1, rng, np.float32)
+        inputs = dataclasses.replace(random_inputs(rng, 13), id_warm=np.ones(13, dtype=bool))
+        weights = nm.constant(rng.normal(size=(len(rows), 4)), np.float32)
+        grads = []
+        for scatter in (ie._add_rows, np.add.at):
+            monkeypatch.setattr(ie, "_add_rows", scatter)
+            nm.backward(sum_all(mul(ie.encode_item_table(inputs.take(rows), params), weights)))
+            grads.append(params.v.adjoint.copy())
+            nm.zero_adjoints([params.v, params.w_c, params.w_p, *params.layers[0]])
+        assert np.abs(grads[0][rows]).min() > 0
+        assert grads[0].tobytes() == grads[1].tobytes()
