@@ -308,17 +308,16 @@ def _batch_scorer(model, inputs):
     the catalog table."""
     cfg = model.config
     dtype = nm.DTYPES[cfg.precision]
-    table_t = np.empty((model.item_params.d, inputs.n_items), dtype=dtype)
-    table = encode_item_table_forward(inputs, model.item_params, cfg.slot_fill,
-                                      cfg.ablation.use_feedback,
-                                      cfg.ablation.use_item_attention, dtype, out=table_t.T)
+    table_t = encode_item_table_forward(inputs, model.item_params, cfg.slot_fill,
+                                        cfg.ablation.use_feedback,
+                                        cfg.ablation.use_item_attention, dtype)
     product = ScoreProduct(table_t)
     matrices = attention_matrices(model.bundle_params, cfg.ablation.use_bundle_attention)
 
     def score_batch(seed_lists):
-        return product(encode_sets_forward(table, seed_lists, matrices))
+        return product(encode_sets_forward(table_t.T, seed_lists, matrices))
 
-    return table.shape[0], product, score_batch
+    return table_t.shape[1], product, score_batch
 
 
 def make_set_scorer(model, inputs):

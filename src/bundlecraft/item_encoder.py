@@ -19,9 +19,8 @@ encoding a restriction gives exactly those rows of the full table, and the
 tiling does not change the table's bits. Inference runs the same tile loop
 forward only (:func:`encode_item_table_forward`): it builds no graph node,
 drops each tile's caches once its rows are written, and writes the table
-into an array the caller may hand in, such as the transpose of the scorers'
-d x N table. The bundle encoder applies the same attention layer to seed
-sets.
+into the transpose of the contiguous d x N array that the scorers read.
+The bundle encoder applies the same attention layer to seed sets.
 """
 
 from dataclasses import dataclass
@@ -209,14 +208,11 @@ class _TablePass:
 
 def _forward(inputs, params, slot_fill, use_feedback, use_attention, dtype, table=None):
     """The table pass, tile by tile: slots, attention layers, slot mean, into
-    ``table`` (any N x d array of the dtype, a new one when None)."""
+    ``table`` (an N x d array of the dtype, a new one when None)."""
     _check_inputs(inputs, params, slot_fill, use_feedback, dtype)
     n, d = inputs.n_items, params.d
     if table is None:
         table = np.empty((n, d), dtype=dtype)
-    elif table.shape != (n, d) or table.dtype != dtype:
-        raise ShapeError(f"encode_item_table: a {table.dtype} {table.shape} table "
-                         f"for {n} x {d} {np.dtype(dtype)}")
     content = nm.finite_matrix(inputs.content, dtype)
     feedback = nm.finite_matrix(inputs.feedback, dtype) if use_feedback else None
     fills, raw_fill = _fills(inputs, slot_fill, use_feedback)
@@ -259,19 +255,19 @@ def _forward(inputs, params, slot_fill, use_feedback, use_attention, dtype, tabl
 
 
 def encode_item_table_forward(inputs, params, slot_fill="projected", use_feedback=True,
-                              use_attention=True, dtype=np.float32, out=None):
-    """:func:`encode_item_table`'s value, bit for bit, with no graph node and
+                              use_attention=True, dtype=np.float32):
+    """The transpose of :func:`encode_item_table`'s value, bit for bit, as
+    the contiguous d x N array that the scorers read, with no graph node and
     no backward caches: each tile is dropped once its rows are written.
 
-    The table goes into ``out`` when given, any N x d array of the dtype;
-    the scorers pass the transpose of a contiguous d x N array. A
-    non-finite row raises the node's ``NonFiniteError``, checked tile by
+    A non-finite row raises the node's ``NonFiniteError``, checked tile by
     tile.
     """
-    f = _forward(inputs, params, slot_fill, use_feedback, use_attention, dtype, out)
+    table_t = np.empty((params.d, inputs.n_items), dtype=dtype)
+    f = _forward(inputs, params, slot_fill, use_feedback, use_attention, dtype, table_t.T)
     for lo, hi, _, _ in f.tiles:
         nm.check_finite(f.table[lo:hi], "encode_item_table")
-    return f.table
+    return table_t
 
 
 def attended_slots(inputs, params, slot_fill="projected", use_feedback=True,
@@ -282,16 +278,6 @@ def attended_slots(inputs, params, slot_fill="projected", use_feedback=True,
     f = _forward(inputs, params, slot_fill, use_feedback, use_attention, dtype)
     rows = [h.reshape(f.size, hi - lo, -1) for lo, hi, _, h in f.tiles]
     return f.table, np.concatenate(rows, axis=1)
-
-
-def _add_rows(target, rows, grad):
-    """``target[rows] += grad``, repeated rows adding up. Strictly increasing
-    rows, as the contrastive anchors are, take a plain indexed add: with no
-    repeats it has ``np.add.at``'s bits, at a tenth of its time."""
-    if (np.diff(rows) > 0).all():
-        target[rows] += grad
-    else:
-        np.add.at(target, rows, grad)
 
 
 def encode_item_table(inputs, params, slot_fill="projected", use_feedback=True,
@@ -340,7 +326,7 @@ def encode_item_table(inputs, params, slot_fill="projected", use_feedback=True,
                 if inputs.rows is None:
                     v.adjoint[lo:hi] += d_slots[-1]
                 else:
-                    _add_rows(v.adjoint, inputs.rows[lo:hi], d_slots[-1])
+                    np.add.at(v.adjoint, inputs.rows[lo:hi], d_slots[-1])
             d_wc += content.T @ d_projected
         nm.accumulate(w_c, d_wc)
         if use_feedback:

@@ -467,12 +467,10 @@ class TestFusedTableNode:
         oracle = composed_item_table(inputs, params, dtype=dtype, **kw)
         assert fused.value.dtype == dtype
         assert fused.value.tobytes() == oracle.value.tobytes()
-        # the inference entry, into a new table and into a d x N table's transpose
-        table_t = np.empty(fused.shape[::-1], dtype=dtype)
-        for out in (None, table_t.T):
-            table = ie.encode_item_table_forward(inputs, params, dtype=dtype, out=out, **kw)
-            assert out is None or table is out
-            assert table.tobytes() == fused.value.tobytes()
+        # the inference entry: the node's value as a contiguous d x N table
+        table_t = ie.encode_item_table_forward(inputs, params, dtype=dtype, **kw)
+        assert table_t.dtype == dtype and table_t.flags.c_contiguous
+        assert table_t.T.tobytes() == fused.value.tobytes()
         if dtype != F64:
             return
         weights = nm.constant(np.random.default_rng(5).normal(size=fused.shape), F64)
@@ -559,49 +557,8 @@ class TestFusedTableNode:
         op = "constant" if where in ("content", "feedback") else "encode_item_table"
         assert errors[0] == errors[1] == f"{op} produced a non-finite value"
 
-    def test_forward_rejects_a_table_of_the_wrong_shape_or_dtype(self, rng):
-        params, inputs = self.setup(rng, 6)
-        for out in (np.empty((6, 3)), np.empty((4, 6)).T[:5], np.empty((6, 4), np.float32)):
-            with pytest.raises(ShapeError):
-                ie.encode_item_table_forward(inputs, params, dtype=F64, out=out)
-
     def test_one_graph_node(self, rng):
         params, inputs = self.setup(rng, 6)
         table = ie.encode_item_table(inputs.take([4, 1, 1]), params, dtype=F64)
         assert set(map(id, table.parents)) == {id(p) for _, p in self.named(params)}
         assert all(p.parents == () for p in table.parents)
-
-
-class TestIdRowScatter:
-    """V's id-slot gradient: strictly increasing rows take a plain indexed
-    add, others ``np.add.at``; both give ``np.add.at``'s bits."""
-
-    @pytest.mark.parametrize("rows", [
-        [0, 3, 4, 9, 12], [7], [2, 2, 5, 11, 11, 11], [9, 4, 1], [12, 0, 0, 7],
-    ], ids=["increasing", "one", "repeats", "decreasing", "unsorted_repeats"])
-    @pytest.mark.parametrize("dtype", [np.float32, F64])
-    def test_add_rows_has_add_at_bits(self, rng, rows, dtype):
-        target = rng.normal(size=(13, 6)).astype(dtype)
-        grad = rng.normal(size=(len(rows), 6)).astype(dtype)
-        want = target.copy()
-        np.add.at(want, np.array(rows), grad)
-        ie._add_rows(target, np.array(rows), grad)
-        assert target.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("rows", [sorted({12, 0, 7, 3, 9, 5}), [11, 2, 2, 5, 2]],
-                             ids=["anchors", "repeats"])
-    def test_v_gradient_matches_add_at_path(self, rng, monkeypatch, rows):
-        """The backward over three tiles, against the same backward with
-        every scatter through ``np.add.at``."""
-        monkeypatch.setattr(ie, "TILE_BYTES", 2 * ie.N_SLOTS * 4 * 4)
-        params = ie.init_item_params(13, 5, 3, 4, 1, rng, np.float32)
-        inputs = dataclasses.replace(random_inputs(rng, 13), id_warm=np.ones(13, dtype=bool))
-        weights = nm.constant(rng.normal(size=(len(rows), 4)), np.float32)
-        grads = []
-        for scatter in (ie._add_rows, np.add.at):
-            monkeypatch.setattr(ie, "_add_rows", scatter)
-            nm.backward(sum_all(mul(ie.encode_item_table(inputs.take(rows), params), weights)))
-            grads.append(params.v.adjoint.copy())
-            nm.zero_adjoints([params.v, params.w_c, params.w_p, *params.layers[0]])
-        assert np.abs(grads[0][rows]).min() > 0
-        assert grads[0].tobytes() == grads[1].tobytes()
