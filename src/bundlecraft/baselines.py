@@ -11,14 +11,13 @@ bit for bit.
 import numpy as np
 
 
-def mean_pool_item_table(inputs, w_c, w_p, v, slot_fill="projected", use_feedback=True):
+def mean_pool_item_table(inputs, w_c, w_p, v, use_feedback=True):
     """All item vectors under mean pooling of the projected feature slots."""
     cp = inputs.content @ w_c
     slots = [cp]
     if use_feedback:
         pp = inputs.feedback @ w_p
-        fill = inputs.content @ w_p if slot_fill == "raw" else cp
-        slots.append(np.where(inputs.feedback_present[:, None], pp, fill))
+        slots.append(np.where(inputs.feedback_present[:, None], pp, cp))
     slots.append(np.where(inputs.id_warm[:, None], v, cp))
     acc = slots[0]
     for s in slots[1:]:
@@ -26,8 +25,8 @@ def mean_pool_item_table(inputs, w_c, w_p, v, slot_fill="projected", use_feedbac
     return acc / len(slots)
 
 
-def mean_pool_scores(inputs, w_c, w_p, v, seed_idx, slot_fill="projected", use_feedback=True):
+def mean_pool_scores(inputs, w_c, w_p, v, seed_idx, use_feedback=True):
     """Scores of every catalog item for one partial bundle."""
-    table = mean_pool_item_table(inputs, w_c, w_p, v, slot_fill, use_feedback)
+    table = mean_pool_item_table(inputs, w_c, w_p, v, use_feedback)
     e = table[np.asarray(sorted(seed_idx), dtype=np.int64)].mean(axis=0, keepdims=True)
     return (e @ np.ascontiguousarray(table.T))[0]

@@ -16,7 +16,6 @@ import numpy as np
 
 from .contrastive import AugmentationConfig
 from .errors import ConfigError
-from .item_encoder import SLOT_FILLS
 from .numerics import DTYPES
 
 
@@ -31,7 +30,6 @@ DEFAULTS = {
         "d": 64,
         "l_layers": 1,
         "z_layers": 1,
-        "slot_fill": "projected",
     },
     "cf": {
         "d": 64,
@@ -56,7 +54,6 @@ DEFAULTS = {
         "dropout_ratio": 0.5,
         "noise_weight": 0.05,
         "tau": 5.0,
-        "negatives": "batch",
     },
     "ablation": {
         "use_feedback": True,
@@ -150,7 +147,6 @@ class TrainConfig:
     beta: float
     train_seed_ratio: float
     eval_seed_ratio: float
-    slot_fill: str
     precision: str
     patience: int
     seed: int
@@ -164,8 +160,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
         if self.precision not in DTYPES:
             raise ConfigError(f"precision must be one of {sorted(DTYPES)}")
-        if self.slot_fill not in SLOT_FILLS:
-            raise ConfigError(f"slot_fill must be one of {SLOT_FILLS}, got {self.slot_fill!r}")
         for name in ("d", "batch_size"):
             if not getattr(self, name) >= 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

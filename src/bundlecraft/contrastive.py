@@ -33,7 +33,6 @@ class AugmentationConfig:
     dropout_ratio: float
     noise_weight: float
     tau: float
-    negatives: str  # "batch" or "full"
 
     def __post_init__(self):
         if self.item_mode not in ITEM_MODES:
@@ -46,8 +45,6 @@ class AugmentationConfig:
             raise IntegrityError(f"noise_weight must be finite and nonnegative, got {self.noise_weight}")
         if not 0 < self.tau < np.inf:
             raise IntegrityError(f"temperature tau must be finite and positive, got {self.tau}")
-        if self.negatives not in ("batch", "full"):
-            raise IntegrityError(f"negatives must be 'batch' or 'full', got {self.negatives!r}")
 
 
 def augment_inputs(inputs, mode, config, rng):

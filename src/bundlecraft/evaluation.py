@@ -308,8 +308,7 @@ def _batch_scorer(model, inputs):
     the catalog table."""
     cfg = model.config
     dtype = nm.DTYPES[cfg.precision]
-    table_t = encode_item_table_forward(inputs, model.item_params, cfg.slot_fill,
-                                        cfg.ablation.use_feedback,
+    table_t = encode_item_table_forward(inputs, model.item_params, cfg.ablation.use_feedback,
                                         cfg.ablation.use_item_attention, dtype)
     product = ScoreProduct(table_t)
     matrices = attention_matrices(model.bundle_params, cfg.ablation.use_bundle_attention)
@@ -373,7 +372,6 @@ def explain(model, inputs, bundle_items, bundle_index=-1):
     table, slot_values = attended_slots(
         inputs,
         model.item_params,
-        slot_fill=cfg.slot_fill,
         use_feedback=cfg.ablation.use_feedback,
         use_attention=cfg.ablation.use_item_attention,
         dtype=dtype,

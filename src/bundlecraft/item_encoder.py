@@ -2,9 +2,7 @@
 
 Each item contributes three feature rows, its slots: projected content,
 projected collaborative-filtering feedback, and a learnable id embedding.
-Missing feedback or id history is slot-filled from the content feature
-(projected by default; a ``raw`` mode projects the raw content vector
-through the feedback projection, which requires matching widths).
+Missing feedback or id history is slot-filled from the projected content.
 
 The encoder works on a batch of items: the whole catalog, or the rows an
 ``ItemInputs.take`` restriction keeps. Its N x d table is one graph node,
@@ -28,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 SLOT_CONTENT, SLOT_FEEDBACK, SLOT_ID = 0, 1, 2
 N_SLOTS = 3
-SLOT_FILLS = ("projected", "raw")
 
 # bytes of slot rows per tile of the table node (3 x d per item; 682 items at
 # d = 32 in float32): a tile's few arrays of this size stay in a 2 MiB L2
@@ -148,26 +145,22 @@ def _tiles(n, row_bytes):
     return [n * t // k for t in range(k + 1)]
 
 
-def _fills(inputs, slot_fill, use_feedback):
+def _fills(inputs, use_feedback):
     """N x 1 masks of the rows whose feedback slot (when feedback is on) and id
-    slot are filled from the projected content, in slot order, and (``raw``
-    fill, else None) of the rows whose feedback slot is the raw content
-    projected through W_p."""
+    slot are filled from the projected content, in slot order."""
     forced = inputs.forced_fallback
 
     def filled(present, slot):
         own = present if forced is None else present & ~forced[:, slot]
         return ~own[:, None]
 
-    raw = use_feedback and slot_fill == "raw"
-    present = inputs.feedback_present
     fills = [filled(inputs.id_warm, SLOT_ID)]
     if use_feedback:
-        fills.insert(0, filled(np.ones_like(present) if raw else present, SLOT_FEEDBACK))
-    return fills, ~present[:, None] if raw else None
+        fills.insert(0, filled(inputs.feedback_present, SLOT_FEEDBACK))
+    return fills
 
 
-def _check_inputs(inputs, params, slot_fill, use_feedback, dtype):
+def _check_inputs(inputs, params, use_feedback, dtype):
     if inputs.n_items == 0:
         raise ShapeError("encode_item_table: no items")
     for w in (params.w_c, params.w_p, params.v, *(w for pair in params.layers for w in pair)):
@@ -179,11 +172,6 @@ def _check_inputs(inputs, params, slot_fill, use_feedback, dtype):
     if use_feedback and inputs.feedback.shape[1] != params.w_p.shape[0]:
         raise ShapeError(f"encode_item_table: feedback width {inputs.feedback.shape[1]} "
                          f"for W_p {params.w_p.shape}")
-    if use_feedback and slot_fill == "raw" and params.w_p.shape[0] != inputs.content.shape[1]:
-        raise ConfigError(
-            "slot_fill=raw needs cf_dim == feature dim, "
-            f"have {params.w_p.shape[0]} vs {inputs.content.shape[1]}"
-        )
     n_v = params.v.shape[0]
     if (inputs.n_items != n_v) if inputs.rows is None else (inputs.rows.max() >= n_v):
         raise ShapeError(f"encode_item_table: {inputs.n_items} items for {n_v} id rows")
@@ -203,19 +191,18 @@ class _TablePass:
     feedback: np.ndarray | None
     size: int  # slots per item
     fills: list  # see _fills
-    raw_fill: np.ndarray | None
 
 
-def _forward(inputs, params, slot_fill, use_feedback, use_attention, dtype, table=None):
+def _forward(inputs, params, use_feedback, use_attention, dtype, table=None):
     """The table pass, tile by tile: slots, attention layers, slot mean, into
     ``table`` (an N x d array of the dtype, a new one when None)."""
-    _check_inputs(inputs, params, slot_fill, use_feedback, dtype)
+    _check_inputs(inputs, params, use_feedback, dtype)
     n, d = inputs.n_items, params.d
     if table is None:
         table = np.empty((n, d), dtype=dtype)
     content = nm.finite_matrix(inputs.content, dtype)
     feedback = nm.finite_matrix(inputs.feedback, dtype) if use_feedback else None
-    fills, raw_fill = _fills(inputs, slot_fill, use_feedback)
+    fills = _fills(inputs, use_feedback)
     w_c, w_p, v = params.w_c.value, params.w_p.value, params.v.value
     ms = [w_k.value @ w_q.value.T for w_k, w_q in params.layers] if use_attention else []
     size = len(fills) + 1
@@ -232,10 +219,6 @@ def _forward(inputs, params, slot_fill, use_feedback, use_attention, dtype, tabl
             if use_feedback:
                 np.matmul(feedback[lo:hi], w_p, out=slots[1])
                 nm.check_finite(slots[1], "feedback projection")
-                if raw_fill is not None:
-                    raw = content[lo:hi] @ w_p
-                    nm.check_finite(raw, "raw content projection")
-                    np.copyto(slots[1], raw, where=raw_fill[lo:hi])
             if inputs.rows is None:
                 slots[-1] = v[lo:hi]
             else:
@@ -251,11 +234,11 @@ def _forward(inputs, params, slot_fill, use_feedback, use_attention, dtype, tabl
             table[lo:hi] = nm.set_mean(h, size, t)
             yield lo, hi, layers, h
 
-    return _TablePass(table, tiles(), ms, content, feedback, size, fills, raw_fill)
+    return _TablePass(table, tiles(), ms, content, feedback, size, fills)
 
 
-def encode_item_table_forward(inputs, params, slot_fill="projected", use_feedback=True,
-                              use_attention=True, dtype=np.float32):
+def encode_item_table_forward(inputs, params, use_feedback=True, use_attention=True,
+                              dtype=np.float32):
     """The transpose of :func:`encode_item_table`'s value, bit for bit, as
     the contiguous d x N array that the scorers read, with no graph node and
     no backward caches: each tile is dropped once its rows are written.
@@ -264,24 +247,23 @@ def encode_item_table_forward(inputs, params, slot_fill="projected", use_feedbac
     tile.
     """
     table_t = np.empty((params.d, inputs.n_items), dtype=dtype)
-    f = _forward(inputs, params, slot_fill, use_feedback, use_attention, dtype, table_t.T)
+    f = _forward(inputs, params, use_feedback, use_attention, dtype, table_t.T)
     for lo, hi, _, _ in f.tiles:
         nm.check_finite(f.table[lo:hi], "encode_item_table")
     return table_t
 
 
-def attended_slots(inputs, params, slot_fill="projected", use_feedback=True,
-                   use_attention=True, dtype=np.float32):
+def attended_slots(inputs, params, use_feedback=True, use_attention=True, dtype=np.float32):
     """Forward only: the N x d item table and the attended slot rows as an
     S x N x d array, slot s of item i at ``[s, i]`` (S is 3, or 2 when
     feedback is off)."""
-    f = _forward(inputs, params, slot_fill, use_feedback, use_attention, dtype)
+    f = _forward(inputs, params, use_feedback, use_attention, dtype)
     rows = [h.reshape(f.size, hi - lo, -1) for lo, hi, _, h in f.tiles]
     return f.table, np.concatenate(rows, axis=1)
 
 
-def encode_item_table(inputs, params, slot_fill="projected", use_feedback=True,
-                      use_attention=True, dtype=np.float32):
+def encode_item_table(inputs, params, use_feedback=True, use_attention=True,
+                      dtype=np.float32):
     """The representations of the inputs' N items as one N x d node.
 
     Modality dropout (``forced_fallback``) replaces a slot by the projected
@@ -289,7 +271,7 @@ def encode_item_table(inputs, params, slot_fill="projected", use_feedback=True,
     inputs scatter their id-slot gradients into rows ``inputs.rows`` of V
     (repeats add up).
     """
-    f = _forward(inputs, params, slot_fill, use_feedback, use_attention, dtype)
+    f = _forward(inputs, params, use_feedback, use_attention, dtype)
     tiles = list(f.tiles)
     w_c, w_p, v = params.w_c, params.w_p, params.v
     layers = params.layers if use_attention else []
@@ -304,7 +286,6 @@ def encode_item_table(inputs, params, slot_fill="projected", use_feedback=True,
             v.adjoint = np.zeros_like(v.value)
         for lo, hi, cache, _ in tiles:
             t = hi - lo
-            content = f.content[lo:hi]
             d_h = np.empty((size * t, g.shape[1]), dtype=g.dtype)
             d_h.reshape(size, t, -1)[:] = g[lo:hi] / size
             for (h, p, hm), m, d_m in zip(reversed(cache), reversed(f.ms), reversed(d_ms)):
@@ -317,17 +298,13 @@ def encode_item_table(inputs, params, slot_fill="projected", use_feedback=True,
                 np.add(d_projected, d_slot, out=d_projected, where=fill[lo:hi])
                 d_slot *= ~fill[lo:hi]
             if use_feedback:
-                d_fb = d_slots[0]
-                if f.raw_fill is not None:
-                    d_wp += content.T @ (d_fb * f.raw_fill[lo:hi])
-                    d_fb *= ~f.raw_fill[lo:hi]
-                d_wp += f.feedback[lo:hi].T @ d_fb
+                d_wp += f.feedback[lo:hi].T @ d_slots[0]
             if v.requires_grad:
                 if inputs.rows is None:
                     v.adjoint[lo:hi] += d_slots[-1]
                 else:
                     np.add.at(v.adjoint, inputs.rows[lo:hi], d_slots[-1])
-            d_wc += content.T @ d_projected
+            d_wc += f.content[lo:hi].T @ d_projected
         nm.accumulate(w_c, d_wc)
         if use_feedback:
             nm.accumulate(w_p, d_wp)

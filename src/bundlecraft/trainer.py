@@ -11,10 +11,9 @@ so gradients stay exact; it is one graph node that runs in cache-sized
 tiles (see :mod:`item_encoder`). The scores are one node, ``e_b @ T^T``
 with no transposed copy, the NLL one node that sums only the targets'
 log-probabilities, and the L2 penalty one node, so a batch's graph has a
-few dozen nodes. The augmented item view is encoded only on the
-rows the item-level InfoNCE reads: the batch's seed and target items with
-``negatives="batch"``, the whole catalog with ``"full"``. One epoch is one
-pass over the training bundles with freshly sampled seed/target splits.
+few dozen nodes. The augmented item view is encoded only on the rows the
+item-level InfoNCE reads, the batch's seed and target items. One epoch is
+one pass over the training bundles with freshly sampled seed/target splits.
 Validation NDCG@20 drives early stopping and best-checkpoint retention.
 The training log gets one JSON line per epoch; its ``seconds`` object
 splits the epoch's wall time into forward (``loss``), ``backward``,
@@ -132,7 +131,7 @@ def nll_loss(scores, target_sets):
     return nm.log_softmax_pick(scores, rows, cols, -1.0 / (b * n))
 
 
-def total_loss(views, model, inputs, rng, all_views=None):
+def total_loss(views, model, inputs, rng):
     """Total objective on a batch of partial views.
 
     Returns ``(loss_node, parts)`` where ``parts`` carries the unweighted
@@ -146,7 +145,7 @@ def total_loss(views, model, inputs, rng, all_views=None):
     dtype = nm.DTYPES[cfg.precision]
 
     f_table = encode_item_table(
-        inputs, model.item_params, cfg.slot_fill, ab.use_feedback, ab.use_item_attention, dtype
+        inputs, model.item_params, ab.use_feedback, ab.use_item_attention, dtype
     )
 
     def encode(vs):
@@ -160,17 +159,13 @@ def total_loss(views, model, inputs, rng, all_views=None):
     if ab.use_item_cl and cfg.alpha1 > 0:
         # drawn for the whole catalog, so the rng stream does not hang on the batch
         aug_inputs = augment_inputs(inputs, cfg.augment.item_mode, cfg.augment, rng)
-        if cfg.augment.negatives == "full":
-            anchor_idx = np.arange(inputs.n_items)
-        else:
-            anchor_idx = sorted(set().union(*(v.seeds | v.targets for v in views)))
-            aug_inputs = aug_inputs.take(anchor_idx)
+        anchor_idx = sorted(set().union(*(v.seeds | v.targets for v in views)))
         anchors = nm.take_rows(f_table, anchor_idx)
         if cfg.augment.item_mode == "NA":
             positives = anchors
         else:
             positives = encode_item_table(
-                aug_inputs, model.item_params, cfg.slot_fill, ab.use_feedback,
+                aug_inputs.take(anchor_idx), model.item_params, ab.use_feedback,
                 ab.use_item_attention, dtype,
             )
         cl_item = info_nce(anchors, positives, cfg.augment.tau)
@@ -178,14 +173,11 @@ def total_loss(views, model, inputs, rng, all_views=None):
         loss = nm.add(loss, nm.smul(cl_item, cfg.alpha1))
 
     if ab.use_bundle_cl and cfg.alpha2 > 0:
-        pool_views = list(all_views) if (cfg.augment.negatives == "full" and all_views) else views
-        e_pool = e_batch if pool_views is views else encode(pool_views)
         aug_views = [
             augment_bundle(v, cfg.augment.bundle_mode, cfg.augment, rng, inputs.n_items)
-            for v in pool_views
+            for v in views
         ]
-        e_aug = encode(aug_views)
-        cl_bundle = info_nce(e_pool, e_aug, cfg.augment.tau)
+        cl_bundle = info_nce(e_batch, encode(aug_views), cfg.augment.tau)
         parts["cl_bundle"] = cl_bundle.item()
         loss = nm.add(loss, nm.smul(cl_bundle, cfg.alpha2))
 
@@ -312,7 +304,7 @@ def fit(catalog, features, graph, cf, config, log_path=None):
                 batch = [epoch_views[i] for i in order[start : start + config.batch_size]]
                 t1 = time.perf_counter()
                 try:
-                    loss, parts = total_loss(batch, model, inputs, rng_train, all_views=epoch_views)
+                    loss, parts = total_loss(batch, model, inputs, rng_train)
                 except NonFiniteError as exc:
                     raise DivergenceError(f"non-finite loss at epoch {epoch}: {exc}") from exc
                 value = loss.item()

@@ -248,17 +248,18 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("setting", [
         "train.batch_size=0", "train.batch_size=-1", "model.d=0", "model.slot_fill=foo",
-        "model.l_layers=-1", "train.epochs=-1", "train.lr=-1", "augment.dropout_ratio=1.5",
-        "augment.dropout_ratio=-0.5", "augment.noise_weight=-1", "eval.k=5",
-        "train.patience=-3",
+        "augment.negatives=batch", "model.l_layers=-1", "train.epochs=-1", "train.lr=-1",
+        "augment.dropout_ratio=1.5", "augment.dropout_ratio=-0.5", "augment.noise_weight=-1",
+        "eval.k=5", "train.patience=-3",
     ])
     def test_out_of_range_setting_exits_2(self, pipeline, tmp_path, setting):
         _, _, data, cf, _ = pipeline
         out = tmp_path / "m.ckpt"
         proc = cli_subprocess("train", "--data", str(data), "--cf", str(cf), "--out", str(out),
                               "--set", setting)
-        assert proc.returncode == 2, proc.stderr
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
         assert "Traceback" not in proc.stderr
+        assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
         assert setting.split("=")[0].split(".")[-1] in proc.stderr
         assert not out.exists()
 
@@ -576,8 +577,9 @@ class TestMalformedCheckpoint:
         token = C.load_dir(data)[0].item_tokens[0]
         proc = cli_subprocess("complete", "--model", str(model_path), "--data", str(data),
                               "--seeds", token)
-        assert proc.returncode == 2, proc.stderr
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
         assert "Traceback" not in proc.stderr
+        assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
         return proc.stderr
 
     @pytest.mark.parametrize("cut", ["header", "payload"])
@@ -674,7 +676,11 @@ class TestMalformedCheckpoint:
         lambda header: header["config"].update(nosuch=1),
         lambda header: header["config"]["augment"].update(nosuch=1),
         lambda header: header["config"].update(ablation="all"),
-    ], ids=["config", "augment", "ablation"])
+        # every checkpoint written before the slot-fill and negative-pool knobs
+        # were deleted echoes them with these values
+        lambda header: header["config"].update(slot_fill="projected"),
+        lambda header: header["config"]["augment"].update(negatives="batch"),
+    ], ids=["config", "augment", "ablation", "slot_fill", "negatives"])
     def test_header_config_unknown_field_exits_2(self, pipeline, tmp_path, edit):
         _, _, data, _, model = pipeline
         err = self.complete_subprocess(data, self.edited(model, tmp_path, edit))

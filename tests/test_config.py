@@ -44,6 +44,8 @@ def test_unknown_key_rejected(tmp_path):
     p.write_text(json.dumps({"train": {"lrr": 0.5}}))
     with pytest.raises(ConfigError, match="train.lrr"):
         load_config(p, [])
+    with pytest.raises(ConfigError, match="model.slot_fill"):
+        load_config(None, ["model.slot_fill=foo"])
 
 
 def test_file_not_an_object_or_not_utf8_rejected(tmp_path):
@@ -96,8 +98,8 @@ def test_booleans_rejected_for_numbers():
 
 
 OUT_OF_RANGE = [
-    "train.batch_size=0", "train.batch_size=-1", "model.d=0", "model.slot_fill=foo",
-    "model.l_layers=-1", "model.z_layers=-1", "train.epochs=-1", "train.lr=-1", "train.lr=NaN",
+    "train.batch_size=0", "train.batch_size=-1", "model.d=0", "model.l_layers=-1",
+    "model.z_layers=-1", "train.epochs=-1", "train.lr=-1", "train.lr=NaN",
     "train.lr=Infinity", "train.alpha1=NaN", "augment.dropout_ratio=1.5",
     "augment.dropout_ratio=-0.5", "augment.noise_weight=-1", "augment.tau=Infinity",
     "train.patience=-3", "data.train_seed_ratio=0", "data.train_seed_ratio=1",
@@ -114,8 +116,8 @@ def test_out_of_range_values_rejected(assignment):
 
 @pytest.mark.parametrize("assignment", [
     "train.lr=0", "train.epochs=0", "model.l_layers=0", "model.z_layers=0", "train.batch_size=1",
-    "model.slot_fill=raw", "augment.dropout_ratio=0", "augment.dropout_ratio=1",
-    "augment.noise_weight=0", "train.patience=0", "seed=0",
+    "augment.dropout_ratio=0", "augment.dropout_ratio=1", "augment.noise_weight=0",
+    "train.patience=0", "seed=0",
 ])
 def test_range_boundaries_accepted(assignment):
     train_config(load_config(None, [assignment]))

@@ -465,7 +465,7 @@ def one_set_oracle(model, inputs, seeds):
 
     cfg, ab = model.config, model.config.ablation
     dtype = nm.DTYPES[cfg.precision]
-    table = encode_item_table(inputs, model.item_params, cfg.slot_fill, ab.use_feedback,
+    table = encode_item_table(inputs, model.item_params, ab.use_feedback,
                               ab.use_item_attention, dtype).value
     rows = nm.constant(table[np.asarray(seeds, dtype=np.int64)], dtype)
     e = encode_bundle(rows, model.bundle_params, ab.use_bundle_attention)

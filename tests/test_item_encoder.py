@@ -38,18 +38,13 @@ def encode_set_oracle(h, layers):
     return h.mean(axis=0)
 
 
-def item_rows_oracle(params, content, feedback, id_row, slot_fill="projected", forced=()):
+def item_rows_oracle(params, content, feedback, id_row, forced=()):
     """One item's 3 x d slot rows: projected content, feedback (None when the
     item has none) and id row (None when id-cold), with slot filling and the
     slots in ``forced`` replaced by the projected content."""
     w_c, w_p = params.w_c.value, params.w_p.value
     row_c = content @ w_c
-    if feedback is not None:
-        row_p = feedback @ w_p
-    elif slot_fill == "raw":
-        row_p = content @ w_p
-    else:
-        row_p = row_c
+    row_p = row_c if feedback is None else feedback @ w_p
     row_v = row_c if id_row is None else id_row
     rows = [row_c, row_p, row_v]
     return np.vstack([row_c if s in forced else row for s, row in enumerate(rows)])
@@ -67,28 +62,26 @@ def random_inputs(rng, n, feat=5, cfd=3, forced=False):
     )
 
 
-def oracle_rows_of(inputs, params, i, slot_fill="projected"):
+def oracle_rows_of(inputs, params, i):
     forced = inputs.forced_fallback
     return item_rows_oracle(
         params, inputs.content[i],
         inputs.feedback[i] if inputs.feedback_present[i] else None,
         params.v.value[i] if inputs.id_warm[i] else None,
-        slot_fill,
         forced=() if forced is None else set(np.flatnonzero(forced[i])),
     )
 
 
-def slot_rows(inputs, params, i, **kw):
+def slot_rows(inputs, params, i):
     """Item i's rows of the (unattended) slot stack, one per slot."""
-    return ie.attended_slots(inputs, params, use_attention=False, dtype=F64, **kw)[1][:, i]
+    return ie.attended_slots(inputs, params, use_attention=False, dtype=F64)[1][:, i]
 
 
 # ---------------------------------------------------------------------------
 # the graph-op composition the fused table node replaced, kept as its oracle
 # ---------------------------------------------------------------------------
 
-def composed_item_slots(inputs, params, slot_fill="projected", use_feedback=True,
-                        use_attention=True, dtype=F64):
+def composed_item_slots(inputs, params, use_feedback=True, use_attention=True, dtype=F64):
     """The attended slot rows of every item as one (S*N) x d node, slot s of
     item i at row s * N + i, built from the generic graph ops."""
     n = inputs.n_items
@@ -102,11 +95,8 @@ def composed_item_slots(inputs, params, slot_fill="projected", use_feedback=True
     slots = [projected_content]
     if use_feedback:
         feedback = nm.matmul(nm.constant(inputs.feedback, dtype), params.w_p)
-        present = inputs.feedback_present
-        if slot_fill == "raw":
-            feedback = select_rows(present, feedback, nm.matmul(content, params.w_p))
-            present = np.ones(n, dtype=bool)
-        slots.append(select_rows(own(present, ie.SLOT_FEEDBACK), feedback, projected_content))
+        slots.append(select_rows(own(inputs.feedback_present, ie.SLOT_FEEDBACK), feedback,
+                                 projected_content))
     v = params.v if inputs.rows is None else nm.take_rows(params.v, inputs.rows)
     slots.append(select_rows(own(inputs.id_warm, ie.SLOT_ID), v, projected_content))
     h = vconcat(slots)
@@ -225,12 +215,6 @@ class TestBuildFeatureMatrix:
         np.testing.assert_array_equal(rows[0], rows[1])
         np.testing.assert_allclose(rows[2], params.v.value[3], atol=1e-12)
 
-    def test_raw_slot_fill_projects_through_wp(self, rng):
-        params = make_params(rng, n_items=4, feat_dim=5, cf_dim=5)
-        inputs = self.inputs(rng, cfd=5, present=False)
-        rows = slot_rows(inputs, params, 0, slot_fill="raw")
-        np.testing.assert_allclose(rows[1], inputs.content[0] @ params.w_p.value, atol=1e-12)
-
 
 class TestAttentionLayer:
     def test_single_row_identity(self, rng):
@@ -319,15 +303,14 @@ class TestEncodeItem:
 class TestBatchedPath:
     def test_matches_single_item_path(self, rng):
         n = 7
-        for slot_fill, cfd in (("projected", 3), ("raw", 5)):
-            for forced in (False, True):
-                params = make_params(rng, n_items=n, feat_dim=5, cf_dim=cfd, layers=2)
-                inputs = random_inputs(rng, n, cfd=cfd, forced=forced)
-                table = ie.encode_item_table(inputs, params, slot_fill=slot_fill, dtype=F64)
-                layers = [(wk.value, wq.value) for wk, wq in params.layers]
-                for i in range(n):
-                    want = encode_set_oracle(oracle_rows_of(inputs, params, i, slot_fill), layers)
-                    np.testing.assert_allclose(table.value[i], want, atol=1e-11)
+        for forced in (False, True):
+            params = make_params(rng, n_items=n, feat_dim=5, cf_dim=3, layers=2)
+            inputs = random_inputs(rng, n, cfd=3, forced=forced)
+            table = ie.encode_item_table(inputs, params, dtype=F64)
+            layers = [(wk.value, wq.value) for wk, wq in params.layers]
+            for i in range(n):
+                want = encode_set_oracle(oracle_rows_of(inputs, params, i), layers)
+                np.testing.assert_allclose(table.value[i], want, atol=1e-11)
 
     def test_attention_off_is_slot_mean(self, rng):
         n = 4
@@ -364,23 +347,20 @@ class TestBatchedPath:
 class TestRowRestriction:
     """Encoding ``inputs.take(rows)`` against the full table as the oracle."""
 
-    @pytest.mark.parametrize("slot_fill", ["projected", "raw"])
     @pytest.mark.parametrize("use_feedback", [True, False])
     @pytest.mark.parametrize("use_attention", [True, False])
     @pytest.mark.parametrize("augment", ["none", "forced", "MD", "FN", "FD"])
-    def test_subset_equals_rows_of_full_table(self, rng, slot_fill, use_feedback, use_attention,
-                                              augment):
+    def test_subset_equals_rows_of_full_table(self, rng, use_feedback, use_attention, augment):
         from bundlecraft.contrastive import augment_inputs
         from test_contrastive import aug_config
 
-        n, cfd = 13, (5 if slot_fill == "raw" else 3)
-        params = make_params(rng, n_items=n, feat_dim=5, cf_dim=cfd, layers=2)
-        inputs = random_inputs(rng, n, cfd=cfd, forced=augment == "forced")
+        n = 13
+        params = make_params(rng, n_items=n, feat_dim=5, cf_dim=3, layers=2)
+        inputs = random_inputs(rng, n, cfd=3, forced=augment == "forced")
         if augment in ("MD", "FN", "FD"):
             config = aug_config(item_mode=augment, dropout_ratio=0.5, noise_weight=0.3)
             inputs = augment_inputs(inputs, augment, config, rng)
-        kw = dict(slot_fill=slot_fill, use_feedback=use_feedback, use_attention=use_attention,
-                  dtype=F64)
+        kw = dict(use_feedback=use_feedback, use_attention=use_attention, dtype=F64)
         full = ie.encode_item_table(inputs, params, **kw)
         for rows in ([0, 3, 4, 9, 12], [7], [11, 2, 2, 5], list(range(n))):
             sub = ie.encode_item_table(inputs.take(rows), params, **kw)
@@ -446,8 +426,6 @@ class TestFusedTableNode:
         "default": {},
         "feedback_off": {"use_feedback": False},
         "attention_off": {"use_attention": False},
-        "raw": {"slot_fill": "raw"},
-        "raw_feedback_off": {"slot_fill": "raw", "use_feedback": False},
     }
 
     def setup(self, rng, n, layers=2, d=4, md=False, dtype=F64):
