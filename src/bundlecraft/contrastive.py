@@ -98,14 +98,17 @@ def info_nce(anchors, positives, tau):
     ``anchors`` and ``positives`` are matrix nodes with one vector per row.
     Every anchor is contrasted against all positives in the pool, its own
     positive included in the denominator, so the loss is nonnegative and
-    equals ln N when all similarities coincide.
+    equals ln N when all similarities coincide. It is the NLL's two ops on
+    the scaled cosine matrix: :func:`numerics.matmul_nt` of the unit rows,
+    and :func:`numerics.log_softmax_pick` of its diagonal times ``-1/N``.
     """
     if anchors.shape != positives.shape:
         raise ShapeError(f"info_nce: shapes {anchors.shape} vs {positives.shape}")
-    if anchors.shape[0] < 1:
+    n = anchors.shape[0]
+    if n < 1:
         raise ShapeError("info_nce: empty input")
     if not tau > 0:
         raise IntegrityError(f"temperature must be positive, got {tau}")
-    sims = nm.matmul(nm.normalize_rows(anchors), nm.transpose(nm.normalize_rows(positives)))
-    log_probs = nm.log_softmax_rows(nm.sdiv(sims, tau))
-    return nm.smul(nm.mean_all(nm.take_diag(log_probs)), -1.0)
+    sims = nm.matmul_nt(nm.normalize_rows(anchors), nm.normalize_rows(positives))
+    diag = np.arange(n)
+    return nm.log_softmax_pick(nm.sdiv(sims, tau), diag, diag, -1.0 / n)

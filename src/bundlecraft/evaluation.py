@@ -73,9 +73,8 @@ def rank_candidates(scores, excluded, k):
     ``need`` items score at or above the cut and at least ``k`` of them are
     kept; the k-th best kept score, and every tie with it, is therefore at or
     above the cut. Items past the grouped head are compared with the cut
-    too. When ``c <= need`` or a column maximum is NaN, the k-th best kept
-    score is found by selection over every kept item (``np.partition``)
-    instead.
+    too. When ``c <= need`` (k of about n / RANK_GROUPS or more) or a column
+    maximum is NaN, every kept item is sorted instead.
     """
     if k < 1:
         raise IntegrityError(f"k must be >= 1, got {k}")
@@ -84,26 +83,15 @@ def rank_candidates(scores, excluded, k):
     drop = [i for i in excluded if 0 <= i < n]
     need = k + len(drop)
     c = n // RANK_GROUPS
-    cand = None
+    hit = None
     if c > need:
         col_max = scores[: RANK_GROUPS * c].reshape(RANK_GROUPS, c).max(axis=0)
         if not np.isnan(col_max).any():
-            cut = np.partition(col_max, c - need)[c - need]
-            hit = scores >= cut
-            hit[drop] = False
-            cand = np.flatnonzero(hit)
-    if cand is None:
-        key = -scores
-        kept = np.ones(n, dtype=bool)
-        kept[drop] = False
-        kept_key = key[kept]
-        if k < kept_key.shape[0]:
-            cut = np.partition(kept_key, k - 1)[k - 1]
-            if not np.isnan(cut):
-                cand = np.flatnonzero((key <= cut) & kept)
-        if cand is None:
-            # nothing to select, or NaN at the cut: sort every kept item
-            cand = np.flatnonzero(kept)
+            hit = scores >= np.partition(col_max, c - need)[c - need]
+    if hit is None:
+        hit = np.ones(n, dtype=bool)
+    hit[drop] = False
+    cand = np.flatnonzero(hit)
     order = np.lexsort((cand, -scores[cand]))
     return cand[order[:k]].tolist()
 

@@ -113,12 +113,12 @@ def build_item_inputs(catalog, features, cf, graph, warm, dtype=np.float32):
     n = catalog.n_items
     if not (features.text_present | features.media_present).all():
         raise ShapeError("an item has neither text nor media feature")
-    both = features.text_present & features.media_present
-    content = np.where(
-        both[:, None],
-        (features.text + features.media) / 2,
-        np.where(features.text_present[:, None], features.text, features.media),
-    ).astype(dtype, copy=False)
+    # the mean of both modalities, then the rows that have only one: one array
+    content = features.text + features.media
+    content /= 2
+    np.copyto(content, features.text, where=~features.media_present[:, None])
+    np.copyto(content, features.media, where=~features.text_present[:, None])
+    content = content.astype(dtype, copy=False)
     feedback_present = graph.item_degree > 0
     feedback = cf.item_table.astype(dtype)  # a copy, so zeroing leaves cf intact
     feedback[~feedback_present] = 0.0

@@ -12,6 +12,13 @@ rule. :func:`backward` walks the graph once in reverse topological order and
 accumulates adjoints additively (fan-out sums). A graph is confined to one
 thread; values are never mutated after construction, so nodes may be shared
 read-only across threads.
+
+Training needs only a few ops: the scores ``a @ b^T`` (:func:`matmul_nt`),
+the picked log-softmax sum that both the NLL and InfoNCE reduce to
+(:func:`log_softmax_pick`), row normalization, row gathers, sums of squares
+and scalar arithmetic. The two encoders are one node each, built with
+:func:`make_node` in their own modules on the set arithmetic at the end of
+this one.
 """
 
 import math
@@ -204,20 +211,6 @@ def sdiv(a, c):
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a, b):
-    _binary_preflight(a, b, "matmul")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} x {b.shape}")
-
-    def rule(g):
-        if a.requires_grad:
-            accumulate(a, g @ b.value.T)
-        if b.requires_grad:
-            accumulate(b, a.value.T @ g)
-
-    return make_node(a.value @ b.value, (a, b), rule, "matmul")
-
-
 def matmul_nt(a, b):
     """``a @ b.T`` with no transposed copy in either pass: the backward is
     ``dA = G B`` and ``dB = G^T A``."""
@@ -234,25 +227,9 @@ def matmul_nt(a, b):
     return make_node(a.value @ b.value.T, (a, b), rule, "matmul_nt")
 
 
-def transpose(a):
-    def rule(g):
-        accumulate(a, np.ascontiguousarray(g.T))
-
-    return make_node(np.ascontiguousarray(a.value.T), (a,), rule, "transpose")
-
-
 # ---------------------------------------------------------------------------
 # row-structured ops
 # ---------------------------------------------------------------------------
-
-def log_softmax_rows(a):
-    y = kernels.log_softmax_rows(a.value)
-
-    def rule(g):
-        accumulate(a, kernels.log_softmax_rows_grad(y, g))
-
-    return make_node(y, (a,), rule, "log_softmax_rows")
-
 
 def log_softmax_pick(a, rows, cols, c):
     """``c`` times the sum of log softmax(row) over the entries
@@ -307,17 +284,6 @@ def sum_squares(nodes):
     return make_node(total, tuple(nodes), rule, "sum_squares")
 
 
-def mean_all(a):
-    size = a.value.size
-    if size == 0:
-        raise ShapeError("mean_all: empty matrix")
-
-    def rule(g):
-        accumulate(a, np.broadcast_to(g / size, a.shape))
-
-    return make_node(a.value.mean().reshape(1, 1), (a,), rule, "mean_all")
-
-
 def normalize_rows(a):
     """Scale each row to unit L2 norm; a zero row is a degenerate input."""
     sq = (a.value * a.value).sum(axis=1, keepdims=True)
@@ -359,21 +325,6 @@ def take_rows(a, idx):
     return make_node(value, (a,), rule, "take_rows")
 
 
-def take_diag(a):
-    n, m = a.shape
-    if n != m:
-        raise ShapeError(f"take_diag: matrix must be square, got {a.shape}")
-
-    def rule(g):
-        if not a.requires_grad:
-            return
-        if a.adjoint is None:
-            a.adjoint = np.zeros_like(a.value)
-        a.adjoint[np.arange(n), np.arange(n)] += g[:, 0]
-
-    return make_node(np.diag(a.value).reshape(-1, 1).copy(), (a,), rule, "take_diag")
-
-
 # ---------------------------------------------------------------------------
 # set ops
 #
@@ -384,25 +335,10 @@ def take_diag(a):
 # views of these rows (_group_major) and write their results through such a
 # view into a member-major buffer, so no step copies between the layouts.
 #
-# The arithmetic lives in plain array functions (attention_forward,
-# attention_backward, set_mean) that the graph ops below and the item
-# encoder's tiled table node both call, and that forward-only scoring calls
-# with no graph at all.
+# These are plain array functions, not graph ops: the item encoder's tiled
+# table node and the bundle encoder's node call them in both passes, and
+# forward-only scoring calls them with no graph at all.
 # ---------------------------------------------------------------------------
-
-def _set_shape(a, groups, mask, op):
-    groups = int(groups)
-    if groups < 1 or a.shape[0] == 0 or a.shape[0] % groups:
-        raise ShapeError(f"{op}: {a.shape[0]} rows do not split into {groups} nonempty sets")
-    size = a.shape[0] // groups
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (size, groups):
-            raise ShapeError(f"{op}: mask shape {mask.shape}, sets need {(size, groups)}")
-        if not mask.any(axis=0).all():
-            raise ShapeError(f"{op}: a set has no members")
-    return size, groups, mask
-
 
 def _group_major(x, size, groups):
     """(S*G) x d member-major rows as a G x S x d view."""
@@ -470,57 +406,9 @@ def set_mean(h, size, groups, mask=None):
     acc = x[0].copy() if mask is None else np.where(mask[0][:, None], x[0], 0)
     for s in range(1, size):
         np.add(acc, x[s], out=acc, where=True if mask is None else mask[s][:, None])
-    return acc / _member_count(size, mask, h.dtype)
+    return acc / member_count(size, mask, h.dtype)
 
 
-def _member_count(size, mask, dtype):
+def member_count(size, mask, dtype):
+    """Each set's member count, as :func:`set_mean` divides by it."""
     return size if mask is None else mask.sum(axis=0).astype(dtype)[:, None]
-
-
-def set_attention(h, w_k, w_q, groups=1, mask=None):
-    """One self-attention layer applied to every set of a batch.
-
-    Within a set, member rows become softmax((H Wk)(H Wq)^T / sqrt(d)) H:
-    there is no value projection and no residual path, so the softmax
-    weights recombine the raw member rows. Padded members get zero weight.
-
-    The logits are taken in the bilinear form (H M) H^T with M = Wk Wq^T,
-    which is the same algebra with another rounding: the forward runs one
-    (S*G) x d x d product, and the backward one for dM = H^T d(HM) and one
-    for the input gradient d(HM) M^T, with dWk = dM Wq and dWq = dM^T Wk.
-    """
-    for w in (w_k, w_q):
-        _binary_preflight(h, w, "set_attention")
-    d = h.shape[1]
-    if w_k.shape != (d, d) or w_q.shape != (d, d):
-        raise ShapeError(f"set_attention: weights {w_k.shape}, {w_q.shape} for width {d}")
-    size, groups, mask = _set_shape(h, groups, mask, "set_attention")
-    m = w_k.value @ w_q.value.T
-    out, p, hm = attention_forward(h.value, m, size, groups, mask)
-
-    def rule(g):
-        d_hm, d_h = attention_backward(g, h.value, m, p, hm, size, groups, mask, h.requires_grad)
-        if w_k.requires_grad or w_q.requires_grad:
-            d_m = h.value.T @ d_hm
-            if w_k.requires_grad:
-                accumulate(w_k, d_m @ w_q.value)
-            if w_q.requires_grad:
-                accumulate(w_q, d_m.T @ w_k.value)
-        if h.requires_grad:
-            accumulate(h, d_h)
-
-    return make_node(out, (h, w_k, w_q), rule, "set_attention")
-
-
-def group_mean(h, groups=1, mask=None):
-    """Mean of each set's members as a G x d matrix (see :func:`set_mean`)."""
-    size, groups, mask = _set_shape(h, groups, mask, "group_mean")
-    count = _member_count(size, mask, h.dtype)
-
-    def rule(g):
-        share = np.broadcast_to(g / count, (size, groups, g.shape[1]))
-        if mask is not None:
-            share = share * mask[:, :, None]
-        accumulate(h, share.reshape(h.shape))
-
-    return make_node(set_mean(h.value, size, groups, mask), (h,), rule, "group_mean")

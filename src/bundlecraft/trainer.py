@@ -429,7 +429,7 @@ def load_checkpoint(path):
         if type(cf_k_layers) is not int or cf_k_layers < 0:
             raise ConfigError(f"'cf_k_layers' must be an integer >= 0, got {cf_k_layers!r}")
     except (ConfigError, IntegrityError) as exc:
-        raise CorpusFormatError(f"{path}: bad config or cf_k_layers in header: {exc!r}") from exc
+        raise CorpusFormatError(f"{path}: bad config or cf_k_layers in header: {exc}") from exc
     names = matrix_names(config) + ["cf_item_table"]
     if header["matrices"] != names:
         raise CorpusFormatError(

@@ -2,9 +2,10 @@
 as the package's own ops are: each value is checked finite, and each backward
 rule accumulates into the parents that take gradients.
 
-``mul`` and ``sum_all`` build the losses of the gradient checks. ``vconcat``
-and ``select_rows`` compose the item table the fused table node replaced
-(``test_item_encoder.composed_item_slots``), its oracle.
+``mul`` and ``sum_all`` build the losses of the gradient checks.
+``matmul``, ``vconcat`` and ``select_rows`` compose the slot rows of the item
+table the fused table node replaced (``test_item_encoder.composed_item_slots``),
+its oracle.
 """
 
 import numpy as np
@@ -31,6 +32,20 @@ def sum_all(a):
         nm.accumulate(a, np.broadcast_to(g, a.shape))
 
     return nm.make_node(a.value.sum().reshape(1, 1), (a,), rule, "sum_all")
+
+
+def matmul(a, b):
+    """``a @ b`` of same-dtype matrices."""
+    if a.dtype != b.dtype or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: {a.shape} {a.dtype} x {b.shape} {b.dtype}")
+
+    def rule(g):
+        if a.requires_grad:
+            nm.accumulate(a, g @ b.value.T)
+        if b.requires_grad:
+            nm.accumulate(b, a.value.T @ g)
+
+    return nm.make_node(a.value @ b.value, (a, b), rule, "matmul")
 
 
 def vconcat(nodes):

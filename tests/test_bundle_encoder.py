@@ -109,6 +109,16 @@ class TestBatchedViews:
         mask = self.check_batch(rng, self.SETS)
         assert mask.sum(axis=0).tolist() == [len(s) for s in self.SETS]
 
+    def test_a_batch_is_two_nodes(self, rng):
+        """The gather and one encoder node, whatever the layer count."""
+        for layers in (0, 1, 3):
+            params = make_params(rng, layers=layers)
+            table = nm.parameter(rng.normal(size=(10, 4)), F64)
+            e = be.encode_sets(table, self.SETS, params)
+            gather, *weights = e.parents
+            assert gather.parents == (table,)
+            assert weights == [w for pair in params.layers for w in pair]
+
     def test_unpadded_batch_has_no_mask(self, rng):
         for sets in ([{1, 2, 3}, {0, 4, 9}, {5, 7, 8}], [{3, 1}], [{6}, {2}]):
             assert self.check_batch(rng, sets) is None

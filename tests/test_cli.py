@@ -672,19 +672,23 @@ class TestMalformedCheckpoint:
         err = self.complete_subprocess(data, self.edited(model, tmp_path, edit))
         assert "config" in err
 
-    @pytest.mark.parametrize("edit", [
-        lambda header: header["config"].update(nosuch=1),
-        lambda header: header["config"]["augment"].update(nosuch=1),
-        lambda header: header["config"].update(ablation="all"),
+    @pytest.mark.parametrize("edit, key", [
+        (lambda header: header["config"].update(nosuch=1), "unknown key 'nosuch'"),
+        (lambda header: header["config"]["augment"].update(nosuch=1),
+         "unknown key 'augment.nosuch'"),
+        (lambda header: header["config"].update(ablation="all"), "'ablation' must be"),
         # every checkpoint written before the slot-fill and negative-pool knobs
         # were deleted echoes them with these values
-        lambda header: header["config"].update(slot_fill="projected"),
-        lambda header: header["config"]["augment"].update(negatives="batch"),
+        (lambda header: header["config"].update(slot_fill="projected"),
+         "unknown key 'slot_fill'"),
+        (lambda header: header["config"]["augment"].update(negatives="batch"),
+         "unknown key 'augment.negatives'"),
     ], ids=["config", "augment", "ablation", "slot_fill", "negatives"])
-    def test_header_config_unknown_field_exits_2(self, pipeline, tmp_path, edit):
+    def test_header_config_unknown_field_exits_2(self, pipeline, tmp_path, edit, key):
         _, _, data, _, model = pipeline
         err = self.complete_subprocess(data, self.edited(model, tmp_path, edit))
-        assert "config" in err
+        assert f"bad config or cf_k_layers in header: {key}" in err
+        assert "ConfigError(" not in err
 
 
 class TestMalformedCorpus:

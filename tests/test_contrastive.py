@@ -93,6 +93,26 @@ class TestInfoNce:
         num = numeric_grad(f, a.value)
         assert rel_err(a.adjoint, num) < 1e-4
 
+    def test_five_nodes_and_both_gradients(self, rng):
+        """Two row normalizations, the cosine product, the temperature and the
+        picked diagonal; the positives' gradient is checked too."""
+        a = nm.parameter(rng.normal(size=(5, 4)), F64)
+        p = nm.parameter(rng.normal(size=(5, 4)), F64)
+        loss = cl.info_nce(a, p, 0.6)
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            seen.add(id(node))
+            stack += [q for q in node.parents if id(q) not in seen and q.parents]
+        assert len(seen) == 5
+        nm.backward(loss)
+
+        def f():
+            return cl.info_nce(nm.constant(a.value, F64), nm.constant(p.value, F64), 0.6).item()
+
+        for leaf in (a, p):
+            assert rel_err(leaf.adjoint, numeric_grad(f, leaf.value)) < 1e-4
+
 
 @pytest.fixture
 def aug_setup(rng):

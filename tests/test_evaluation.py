@@ -154,10 +154,10 @@ class TestRankCandidates:
             bounded += takes_bounded_path(scores, excluded, k)
             assert ev.rank_candidates(scores, excluded, k) == rank_oracle(scores, excluded, k), (
                 scores.shape[0], scores.dtype, k, len(excluded))
-        # both the cut and the selection over every kept item ran
+        # both the cut and the sort of every kept item ran
         assert 100 <= bounded <= 240
 
-    def test_too_few_columns_for_the_cut_selects_over_every_item(self):
+    def test_too_few_columns_for_the_cut_sorts_every_item(self):
         rng = np.random.default_rng(14)
         n, k = 290 * ev.RANK_GROUPS + 7, 100
         scores = rng.normal(size=n).astype(np.float32)
@@ -169,7 +169,7 @@ class TestRankCandidates:
     @pytest.mark.parametrize("spare", [-1, 0, 1, 2])
     def test_columns_around_need(self, spare):
         """``c`` one below, at, and just above ``need``: the last two columns
-        of slack decide between selection and the cut."""
+        of slack decide between the full sort and the cut."""
         rng = np.random.default_rng(15 + spare)
         k, n_excluded = 20, 6
         c = k + n_excluded + spare
@@ -189,7 +189,7 @@ class TestRankCandidates:
         assert ev.rank_candidates(scores, excluded, 20) == [
             i for i in range(23) if i not in excluded]
 
-    def test_nan_in_the_head_selects_over_every_item(self):
+    def test_nan_in_the_head_sorts_every_item(self):
         """NaN column maxima would count as the largest, so the cut is not used."""
         g = ev.RANK_GROUPS
         c = 100

@@ -6,11 +6,12 @@ import pytest
 
 import bundlecraft.numerics as nm
 from bundlecraft import item_encoder as ie
+from bundlecraft.bundle_encoder import BundleEncoderParams, encode_bundle
 from bundlecraft.corpus import FeatureTable
 from bundlecraft.errors import ShapeError
 
 from conftest import numeric_grad, rel_err
-from graph_ops import mul, select_rows, sum_all, vconcat
+from graph_ops import matmul, mul, select_rows, sum_all, vconcat
 
 F64 = np.float64
 
@@ -81,38 +82,37 @@ def slot_rows(inputs, params, i):
 # the graph-op composition the fused table node replaced, kept as its oracle
 # ---------------------------------------------------------------------------
 
-def composed_item_slots(inputs, params, use_feedback=True, use_attention=True, dtype=F64):
-    """The attended slot rows of every item as one (S*N) x d node, slot s of
-    item i at row s * N + i, built from the generic graph ops."""
-    n = inputs.n_items
+def composed_item_slots(inputs, params, use_feedback=True, dtype=F64):
+    """The slot rows of every item before attention as one (S*N) x d node,
+    slot s of item i at row s * N + i, built from generic graph ops."""
     forced = inputs.forced_fallback
 
     def own(present, slot):
         return present if forced is None else present & ~forced[:, slot]
 
     content = nm.constant(inputs.content, dtype)
-    projected_content = nm.matmul(content, params.w_c)
+    projected_content = matmul(content, params.w_c)
     slots = [projected_content]
     if use_feedback:
-        feedback = nm.matmul(nm.constant(inputs.feedback, dtype), params.w_p)
+        feedback = matmul(nm.constant(inputs.feedback, dtype), params.w_p)
         slots.append(select_rows(own(inputs.feedback_present, ie.SLOT_FEEDBACK), feedback,
                                  projected_content))
     v = params.v if inputs.rows is None else nm.take_rows(params.v, inputs.rows)
     slots.append(select_rows(own(inputs.id_warm, ie.SLOT_ID), v, projected_content))
-    h = vconcat(slots)
-    if use_attention:
-        for w_k, w_q in params.layers:
-            h = nm.set_attention(h, w_k, w_q, n)
-    return h
+    return vconcat(slots)
 
 
-def composed_item_table(inputs, params, **kw):
-    return nm.group_mean(composed_item_slots(inputs, params, **kw), inputs.n_items)
+def composed_item_table(inputs, params, use_feedback=True, use_attention=True, dtype=F64):
+    """The slot rows' attention and mean by the bundle encoder's node, one set
+    per item."""
+    slots = composed_item_slots(inputs, params, use_feedback, dtype)
+    return encode_bundle(slots, BundleEncoderParams(params.layers), use_attention,
+                         inputs.n_items)
 
 
 def attention(h, wk, wq):
     """The set-attention layer on a single set."""
-    return nm.set_attention(nm.constant(h, F64), nm.constant(wk, F64), nm.constant(wq, F64)).value
+    return nm.attention_forward(h, wk @ wq.T, h.shape[0], 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,28 @@ class TestContentFeature:
         assert inputs.feedback.dtype == dtype and inputs.feedback.tobytes() == want.tobytes()
         assert inputs.content.dtype == dtype and not np.shares_memory(inputs.content, text)
         np.testing.assert_array_equal(inputs.content, text.astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_content_bytes_match_the_where_formula(self, rng, dtype):
+        """Rows with both modalities, text only and media only, against the
+        two nested ``np.where`` selections the content was once built with."""
+        n = 60
+        text = rng.normal(size=(n, 7)).astype(np.float32)
+        media = (rng.normal(size=(n, 7)) * 3).astype(np.float32)
+        kind = np.arange(n) % 3
+        text_present, media_present = kind != 2, kind != 1
+        features = FeatureTable(text=text, text_present=text_present,
+                                media=media, media_present=media_present)
+        inputs = ie.build_item_inputs(
+            SimpleNamespace(n_items=n), features, SimpleNamespace(item_table=np.zeros((n, 2))),
+            SimpleNamespace(item_degree=np.ones(n, dtype=np.int64)), frozenset(), dtype,
+        )
+        want = np.where(
+            (text_present & media_present)[:, None],
+            (text + media) / 2,
+            np.where(text_present[:, None], text, media),
+        ).astype(dtype, copy=False)
+        assert inputs.content.dtype == dtype and inputs.content.tobytes() == want.tobytes()
 
 
 class TestBuildFeatureMatrix:
@@ -508,8 +530,10 @@ class TestFusedTableNode:
         monkeypatch.setattr(ie, "TILE_BYTES", 4 * ie.N_SLOTS * 4 * 8)
         params, inputs = self.setup(rng, 11, md=True)
         table, slots = ie.attended_slots(inputs, params, dtype=F64)
-        want = composed_item_slots(inputs, params).value.reshape(3, 11, 4)
-        assert slots.tobytes() == want.tobytes()
+        want = composed_item_slots(inputs, params).value
+        for w_k, w_q in params.layers:
+            want = nm.attention_forward(want, w_k.value @ w_q.value.T, 3, 11)[0]
+        assert slots.tobytes() == want.reshape(3, 11, 4).tobytes()
         assert table.tobytes() == composed_item_table(inputs, params).value.tobytes()
 
     @pytest.mark.parametrize("where", ["content", "feedback", "weight", "id_row"])

@@ -5,6 +5,7 @@ import pytest
 
 import bundlecraft.numerics as nm
 from bundlecraft import kernels
+from bundlecraft.bundle_encoder import BundleEncoderParams, encode_bundle
 from bundlecraft.errors import DegenerateVectorError, GraphError, NonFiniteError, ShapeError
 
 from conftest import numeric_grad, rel_err
@@ -19,35 +20,40 @@ def scalar_of(node):
 
 
 class TestMatmul:
+    """The graph's one product, ``a @ b^T`` (matmul_nt)."""
+
     def test_identity(self, rng):
         m = rng.normal(size=(2, 2))
-        out = nm.matmul(nm.constant(np.eye(2), F64), nm.constant(m, F64))
+        out = nm.matmul_nt(nm.constant(np.eye(2), F64), nm.constant(m, F64))
+        np.testing.assert_array_equal(out.value, m.T)
+        out = nm.matmul_nt(nm.constant(m, F64), nm.constant(np.eye(2), F64))
         np.testing.assert_array_equal(out.value, m)
 
     def test_hand_arithmetic(self):
-        out = nm.matmul(nm.constant([[1.0, 2.0]], F64), nm.constant([[3.0], [4.0]], F64))
+        out = nm.matmul_nt(nm.constant([[1.0, 2.0]], F64), nm.constant([[3.0, 4.0]], F64))
         assert out.value.tolist() == [[11.0]]
 
     def test_shape_mismatch_names_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            nm.matmul(nm.constant(np.zeros((2, 3)), F64), nm.constant(np.zeros((2, 3)), F64))
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 4\)"):
+            nm.matmul_nt(nm.constant(np.zeros((2, 3)), F64), nm.constant(np.zeros((2, 4)), F64))
 
     def test_gradient_matches_finite_differences(self, rng):
         a = nm.parameter(rng.normal(size=(3, 4)), F64)
-        b_val = rng.normal(size=(4, 2))
+        b = nm.parameter(rng.normal(size=(2, 4)), F64)
 
-        loss = sum_all(nm.matmul(a, nm.constant(b_val, F64)))
+        loss = sum_all(nm.matmul_nt(a, b))
         nm.backward(loss)
 
         def f():
-            return sum_all(nm.matmul(nm.constant(a.value, F64), nm.constant(b_val, F64))).item()
+            return sum_all(nm.matmul_nt(nm.constant(a.value, F64), nm.constant(b.value, F64))).item()
 
-        num = numeric_grad(f, a.value, h=1e-5)
-        assert rel_err(a.adjoint, num) < 1e-6
+        for p in (a, b):
+            num = numeric_grad(f, p.value, h=1e-5)
+            assert rel_err(p.adjoint, num) < 1e-6
 
 
 class TestSoftmaxRows:
-    """The row softmax kernel set_attention runs, and its backward."""
+    """The row softmax kernel set attention runs, and its backward."""
 
     def test_uniform_on_constant_row(self):
         out = kernels.softmax_rows(np.zeros((1, 3)))
@@ -70,30 +76,36 @@ class TestSoftmaxRows:
         assert rel_err(got, num) < 1e-6
 
 
+def set_means(h, groups=1, mask=None, layers=()):
+    """The bundle encoder's node over ``groups`` member-major sets of ``h``,
+    with the given (w_k, w_q) attention layers; the set means with none."""
+    return encode_bundle(h, BundleEncoderParams(layers=list(layers)), True, groups, mask)
+
+
 class TestMeanRows:
-    """The row mean is group_mean over a single set."""
+    """The row mean is the bundle encoder with no layer over a single set."""
 
     def test_single_row_unchanged(self, rng):
         row = rng.normal(size=(1, 6))
-        out = nm.group_mean(nm.constant(row, F64))
+        out = set_means(nm.constant(row, F64))
         np.testing.assert_array_equal(out.value, row)
 
     def test_hand_arithmetic(self):
-        out = nm.group_mean(nm.constant([[1.0, 3.0], [3.0, 1.0]], F64))
+        out = set_means(nm.constant([[1.0, 3.0], [3.0, 1.0]], F64))
         assert out.value.tolist() == [[2.0, 2.0]]
 
     def test_zero_rows_error(self):
         with pytest.raises(ShapeError):
-            nm.group_mean(nm.constant(np.zeros((0, 3)), F64))
+            set_means(nm.constant(np.zeros((0, 3)), F64))
 
     def test_backward_distributes_evenly(self, rng):
         x = nm.parameter(rng.normal(size=(4, 3)), F64)
         w = rng.normal(size=(1, 3))
-        loss = sum_all(mul(nm.group_mean(x), nm.constant(w, F64)))
+        loss = sum_all(mul(set_means(x), nm.constant(w, F64)))
         nm.backward(loss)
 
         def f():
-            m = nm.group_mean(nm.constant(x.value, F64))
+            m = set_means(nm.constant(x.value, F64))
             return sum_all(mul(m, nm.constant(w, F64))).item()
 
         num = numeric_grad(f, x.value)
@@ -104,7 +116,7 @@ class TestMeanRows:
 
 def cosine(a, b):
     """Cosine similarity of two row vectors as info_nce forms it."""
-    return nm.matmul(nm.normalize_rows(a), nm.transpose(nm.normalize_rows(b)))
+    return nm.matmul_nt(nm.normalize_rows(a), nm.normalize_rows(b))
 
 
 class TestCosine:
@@ -200,8 +212,8 @@ def test_graph_evaluation_deterministic(rng):
     def build():
         a = nm.constant(x, F64)
         b = nm.constant(w, F64)
-        out = nm.group_mean(nm.log_softmax_rows(nm.matmul(a, b)))
-        return out.value.tobytes()
+        out = set_means(nm.matmul_nt(a, b), layers=[(b, b)])
+        return out.value.tobytes() + nm.log_softmax_pick(out, [0, 0], [1, 3], 0.5).value.tobytes()
 
     assert build() == build()
 
@@ -211,40 +223,39 @@ def _op_cases(rng):
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
     sq = rng.normal(size=(4, 4))
-    m2 = rng.normal(size=(4, 2))
     sets = rng.normal(size=(6, 4))  # three sets of two members
     mask = np.array([[True, True, True], [True, False, True]])
     g3 = rng.normal(size=(3, 4))
     rows = rng.random(3) < 0.5
 
     def attn(h, wk, wq, m=None):
-        out = nm.set_attention(h, wk, wq, 3, m)
-        return sum_all(mul(nm.group_mean(out, 3, m), nm.constant(g3, F64)))
+        return sum_all(mul(set_means(h, 3, m, [(wk, wq)]), nm.constant(g3, F64)))
+
+    def attn2(h, m=None):
+        """Two layers, ``h``'s gradient through both."""
+        layers = [(nm.constant(sq, F64), nm.constant(sq.T.copy(), F64)),
+                  (nm.constant(sq.T.copy(), F64), nm.constant(sq, F64))]
+        return sum_all(mul(set_means(h, 3, m, layers), nm.constant(g3, F64)))
 
     return [
         ("add", lambda p: sum_all(mul(nm.add(p, nm.constant(b, F64)), nm.constant(b, F64))), a),
         ("mul", lambda p: sum_all(mul(p, nm.constant(b, F64))), a),
         ("smul", lambda p: sum_all(nm.smul(p, 2.7)), a),
         ("sdiv", lambda p: sum_all(nm.sdiv(p, 3.1)), a),
-        ("matmul", lambda p: sum_all(nm.matmul(p, nm.constant(m2, F64))), a),
-        ("transpose", lambda p: sum_all(mul(nm.transpose(p), nm.constant(b.T.copy(), F64))), a),
-        ("log_softmax", lambda p: sum_all(mul(nm.log_softmax_rows(p), nm.constant(b, F64))), a),
         ("log_softmax_pick", lambda p: nm.log_softmax_pick(p, *np.nonzero(b > 0), -0.3), a),
         ("matmul_nt", lambda p: sum_all(mul(nm.matmul_nt(p, nm.constant(b, F64)),
                                                   nm.constant(sq[:3, :3], F64))), a),
         ("matmul_nt_right", lambda p: sum_all(mul(nm.matmul_nt(nm.constant(b, F64), p),
                                                         nm.constant(sq[:3, :3], F64))), a),
         ("sum_squares", lambda p: nm.sum_squares([p, nm.smul(p, -0.5), nm.constant(b, F64)]), a),
-        ("mean_all", lambda p: nm.mean_all(mul(p, p)), a),
         ("normalize", lambda p: sum_all(mul(nm.normalize_rows(p), nm.constant(b, F64))), a),
         ("vconcat", lambda p: sum_all(mul(vconcat([p, p]), nm.constant(np.vstack([b, b]), F64))), a),
         ("take_rows", lambda p: sum_all(nm.take_rows(p, [0, 2, 2])), a),
-        ("take_diag", lambda p: sum_all(nm.take_diag(p)), sq),
         ("select_rows", lambda p: sum_all(mul(
             select_rows(rows, p, nm.smul(p, -2.0)), nm.constant(b, F64))), a),
-        ("group_mean", lambda p: sum_all(mul(nm.group_mean(p, 3), nm.constant(g3, F64))), sets),
-        ("group_mean_masked", lambda p: sum_all(mul(
-            nm.group_mean(p, 3, mask), nm.constant(g3, F64))), sets),
+        ("set_mean", lambda p: sum_all(mul(set_means(p, 3), nm.constant(g3, F64))), sets),
+        ("set_mean_masked", lambda p: sum_all(mul(set_means(p, 3, mask), nm.constant(g3, F64))),
+         sets),
         ("set_attention_h", lambda p: attn(p, nm.constant(sq, F64), nm.constant(sq.T.copy(), F64)), sets),
         ("set_attention_h_masked", lambda p: attn(
             p, nm.constant(sq, F64), nm.constant(sq.T.copy(), F64), mask), sets),
@@ -252,6 +263,8 @@ def _op_cases(rng):
                                             mask), sq),
         ("set_attention_wq", lambda p: attn(nm.constant(sets, F64), nm.constant(sq, F64), p, mask), sq),
         ("set_attention_unmasked_wq", lambda p: attn(nm.constant(sets, F64), nm.constant(sq, F64), p), sq),
+        ("set_attention_two_layers_h", attn2, sets),
+        ("set_attention_two_layers_h_masked", lambda p: attn2(p, mask), sets),
     ]
 
 
@@ -326,11 +339,11 @@ class TestSetOps:
         for scatter in (False, True):
             members, x, mask = padded_batch(rng, self.SIZES, scatter=scatter)
             groups = len(self.SIZES)
-            att = nm.set_attention(nm.constant(x, F64), nm.constant(wk, F64), nm.constant(wq, F64),
-                                   groups, mask)
-            rows = att.value.reshape(-1, groups, 4)
-            means = nm.group_mean(att, groups, mask).value
-            plain = nm.group_mean(nm.constant(x, F64), groups, mask).value
+            rows = nm.attention_forward(x, wk @ wq.T, x.shape[0] // groups, groups, mask)[0]
+            rows = rows.reshape(-1, groups, 4)
+            layer = [(nm.constant(wk, F64), nm.constant(wq, F64))]
+            means = set_means(nm.constant(x, F64), groups, mask, layer).value
+            plain = set_means(nm.constant(x, F64), groups, mask).value
             for g, h in enumerate(members):
                 np.testing.assert_allclose(rows[mask[:, g], g], brute_force_attention(h, wk, wq),
                                            atol=1e-10)
@@ -339,8 +352,7 @@ class TestSetOps:
             # padded rows come out zero and receive no gradient
             assert not rows[~mask].any()
             h = nm.parameter(x, F64)
-            nm.backward(sum_all(nm.set_attention(h, nm.constant(wk, F64), nm.constant(wq, F64),
-                                                    groups, mask)))
+            nm.backward(sum_all(set_means(h, groups, mask, layer)))
             assert not h.adjoint.reshape(-1, groups, 4)[~mask].any()
 
     def test_permutation_invariance_under_padding(self):
@@ -355,10 +367,7 @@ class TestSetOps:
                       for _ in range(int(rng.integers(1, 3)))]
 
             def encode(x, mask):
-                h = nm.constant(x, F64)
-                for wk, wq in layers:
-                    h = nm.set_attention(h, wk, wq, groups, mask)
-                return nm.group_mean(h, groups, mask).value
+                return set_means(nm.constant(x, F64), groups, mask, layers).value
 
             base = encode(x, mask)
             # shuffle each set's members over all of its slots, padding included
@@ -369,11 +378,11 @@ class TestSetOps:
             worst = max(worst, float(np.abs(encode(x2, mask[perm, cols]) - base).max()))
         assert worst < 1e-10
 
-    def test_group_mean_bitwise_np_mean(self):
+    def test_set_mean_bitwise_np_mean(self):
         rng = np.random.default_rng(6)
         sizes = list(range(1, 40))
         members, x, mask = padded_batch(rng, sizes, d=8)
-        got = nm.group_mean(nm.constant(x, np.float32), len(sizes), mask).value
+        got = set_means(nm.constant(x, np.float32), len(sizes), mask).value
         for g, h in enumerate(members):
             want = h.astype(np.float32).mean(axis=0)
             assert got[g].tobytes() == want.tobytes(), sizes[g]
@@ -381,14 +390,16 @@ class TestSetOps:
     def test_malformed_sets_rejected(self, rng):
         x = nm.constant(rng.normal(size=(6, 4)), F64)
         w = nm.constant(rng.normal(size=(4, 4)), F64)
-        with pytest.raises(ShapeError):
-            nm.group_mean(x, 4)
-        with pytest.raises(ShapeError):
-            nm.group_mean(x, 3, np.ones((3, 2), dtype=bool))
-        with pytest.raises(ShapeError):
-            nm.set_attention(x, w, w, 3, np.array([[True, False, True], [True, False, False]]))
-        with pytest.raises(ShapeError):
-            nm.set_attention(x, w, nm.constant(np.ones((4, 3)), F64), 3)
+        with pytest.raises(ShapeError, match="do not split"):
+            set_means(x, 4)
+        with pytest.raises(ShapeError, match="mask shape"):
+            set_means(x, 3, np.ones((3, 2), dtype=bool))
+        with pytest.raises(ShapeError, match="no members"):
+            set_means(x, 3, np.array([[True, False, True], [True, False, False]]), [(w, w)])
+        with pytest.raises(ShapeError, match="for width"):
+            set_means(x, 3, None, [(w, nm.constant(np.ones((4, 3)), F64))])
+        with pytest.raises(ShapeError, match="float32 for float64 rows"):
+            set_means(x, 3, None, [(w, nm.constant(np.ones((4, 4)), np.float32))])
 
     def test_select_rows_routes_rows_and_gradients(self, rng):
         on = nm.parameter(rng.normal(size=(4, 3)), F64)
@@ -402,9 +413,9 @@ class TestSetOps:
 
 
 def set_attention_oracle(h, w_k, w_q, groups, mask, g):
-    """``set_attention`` with keys and queries projected apart and the per-set
-    products copied back to member-major rows, as numpy arrays. Returns the
-    output and the gradients of sum(out * g) for h, w_k and w_q."""
+    """One set-attention layer with keys and queries projected apart and the
+    per-set products copied back to member-major rows, as numpy arrays.
+    Returns the output and the gradients of sum(out * g) for h, w_k and w_q."""
     size, d = h.shape[0] // groups, h.shape[1]
     scale = np.sqrt(float(d))
 
@@ -433,7 +444,9 @@ def set_attention_oracle(h, w_k, w_q, groups, mask, g):
 
 
 class TestSetAttentionOracle:
-    """The bilinear form against separately projected keys and queries."""
+    """The bundle encoder's one-layer bilinear form against separately
+    projected keys and queries: its set means weighted by ``g_sets`` are the
+    oracle's rows weighted by each member's share of its set's weight."""
 
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 2e-6)])
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
@@ -448,9 +461,15 @@ class TestSetAttentionOracle:
         else:
             x, mask = rng.normal(size=(size * groups, d)), None
         w_k, w_q = rng.normal(size=(2, d, d)) / np.sqrt(d)
-        g = rng.normal(size=x.shape)
+        g_sets = rng.normal(size=(groups, d))
+        count = size if mask is None else mask.sum(axis=0)[:, None]
+        g = np.broadcast_to(g_sets / count, (size, groups, d)).reshape(x.shape)
         arrays = [a.astype(dtype) for a in (x, w_k, w_q)]
-        want = set_attention_oracle(*arrays, groups, mask, g.astype(dtype))
+        want = list(set_attention_oracle(*arrays, groups, mask, g.astype(dtype)))
+        out = want[0].reshape(size, groups, d)
+        if mask is not None:
+            out = out * mask[:, :, None]
+        want[0] = (out.sum(axis=0) / count).astype(dtype)
 
         def check(got, want):
             assert got.dtype == dtype and got.shape == want.shape
@@ -459,9 +478,9 @@ class TestSetAttentionOracle:
         for grads in itertools.product([False, True], repeat=3):
             leaves = [nm.parameter(a, dtype) if r else nm.constant(a, dtype)
                       for a, r in zip(arrays, grads)]
-            out = nm.set_attention(*leaves, groups, mask)
+            out = set_means(leaves[0], groups, mask, [leaves[1:]])
             check(out.value, want[0])
-            nm.backward(sum_all(mul(out, nm.constant(g, dtype))))
+            nm.backward(sum_all(mul(out, nm.constant(g_sets, dtype))))
             for leaf, takes_grad, grad in zip(leaves, grads, want[1:]):
                 if takes_grad:
                     check(leaf.adjoint, grad)

@@ -50,9 +50,11 @@ def test_tracer_installs_and_restores_every_binding():
 
 
 def test_traced_total_loss_records_the_fused_ops_kernels(tmp_path):
-    """set_attention and the NLL node call the softmax kernels through the
-    ``kernels`` module, so a traced loss and backward record their spans.
-    Contrastive terms are off: the NLL is the only log-softmax."""
+    """The encoder nodes and the log-softmax nodes call the softmax kernels
+    through the ``kernels`` module, so a traced loss and backward record their
+    spans. With the contrastive terms off the NLL is the only log-softmax; with
+    both on, each InfoNCE term adds one, and the augmented views are encoded
+    again."""
     from bundlecraft import corpus, numerics
     from bundlecraft.cf_pretrain import pretrain
     from bundlecraft.config import load_config, train_config
@@ -64,25 +66,30 @@ def test_traced_total_loss_records_the_fused_ops_kernels(tmp_path):
     catalog, features, graph = corpus.load_dir(tmp_path)
     rng = np.random.default_rng(3)
     cf = pretrain(graph, d=4, k_layers=1, epochs=1, lr=0.05, neg_samples=1, rng=rng)
-    config = train_config(load_config(None, ["model.d=8", "train.alpha1=0", "train.alpha2=0"]))
     bundles = range(catalog.n_bundles)
     inputs = build_item_inputs(catalog, features, cf, graph, corpus.warm_items(catalog, bundles))
-    model = trainer.init_model(catalog.n_items, features.dim, cf, config, rng)
     views = [corpus.sample_partial(catalog.bundles[b], 0.5, rng, bundle_index=b) for b in bundles]
 
-    spans = load_spans()
-    tracer = spans.Tracer()
-    try:
-        spans.install_all(tracer, bundlecraft)
-        loss, _ = trainer.total_loss(views, model, inputs, rng)
-        numerics.backward(loss)
-    finally:
-        tracer.uninstall()
-    calls = {}
-    for name, *_ in tracer.spans:
-        calls[name] = calls.get(name, 0) + 1
-    attention_layers = config.l_layers + config.z_layers
-    assert calls["kernels.softmax_rows"] == attention_layers
-    assert calls["kernels.softmax_rows_grad"] == attention_layers
-    assert calls["kernels.log_softmax_rows"] == 1
-    assert calls["kernels.log_softmax_rows_grad"] == 1
+    for cl_on in (False, True):
+        alphas = [] if cl_on else ["train.alpha1=0", "train.alpha2=0"]
+        config = train_config(load_config(None, ["model.d=8", *alphas]))
+        assert (config.alpha1 > 0 and config.alpha2 > 0) == cl_on
+        assert config.augment.item_mode != "NA"
+        model = trainer.init_model(catalog.n_items, features.dim, cf, config, rng)
+        spans = load_spans()
+        tracer = spans.Tracer()
+        try:
+            spans.install_all(tracer, bundlecraft)
+            loss, _ = trainer.total_loss(views, model, inputs, rng)
+            numerics.backward(loss)
+        finally:
+            tracer.uninstall()
+        calls = {}
+        for name, *_ in tracer.spans:
+            calls[name] = calls.get(name, 0) + 1
+        attention_layers = (config.l_layers + config.z_layers) * (2 if cl_on else 1)
+        log_softmaxes = 3 if cl_on else 1
+        assert calls["kernels.softmax_rows"] == attention_layers
+        assert calls["kernels.softmax_rows_grad"] == attention_layers
+        assert calls["kernels.log_softmax_rows"] == log_softmaxes
+        assert calls["kernels.log_softmax_rows_grad"] == log_softmaxes

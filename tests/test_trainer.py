@@ -70,31 +70,29 @@ class TestScore:
         for i in range(3):
             assert out.value[0, i] == pytest.approx(float(e[0] @ table[i]), abs=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_node_matches_matmul_of_transpose(self, rng, dtype):
+        """One node with no transpose copy against the product with a
+        transposed copy of the table, in numpy: the same value, and gradients
+        equal to rounding."""
+        e0, t0 = rng.normal(size=(5, 8)).astype(dtype), rng.normal(size=(300, 8)).astype(dtype)
+        g = rng.normal(size=(5, 300)).astype(dtype)
+        e, t = nm.parameter(e0, dtype), nm.parameter(t0, dtype)
+        out = tr.score(e, t)
+        nm.backward(sum_all(mul(out, nm.constant(g, dtype))))
+        t_copy = np.ascontiguousarray(t0.T)
+        assert out.value.tobytes() == (e0 @ t_copy).tobytes()
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        for got, want in ((e.adjoint, g @ t_copy.T), (t.adjoint, (e0.T @ g).T)):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
 
 def nll_oracle(logits, targets):
     """(1/N) sum over targets of -log softmax(logits), for one row of N scores."""
     probs = np.exp(logits - logits.max())
     probs /= probs.sum()
     return sum(-math.log(probs[t]) for t in targets) / len(logits)
-
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_one_node_matches_matmul_of_transpose(self, rng, dtype):
-        """One node with no transpose copy against matmul(e, transpose(t)):
-        the same value, and gradients equal to rounding."""
-        e0, t0 = rng.normal(size=(5, 8)).astype(dtype), rng.normal(size=(300, 8)).astype(dtype)
-        g = nm.constant(rng.normal(size=(5, 300)), dtype)
-        grads = []
-        for fn in (tr.score, lambda e, t: nm.matmul(e, nm.transpose(t))):
-            e, t = nm.parameter(e0, dtype), nm.parameter(t0, dtype)
-            out = fn(e, t)
-            nm.backward(sum_all(mul(out, g)))
-            grads.append((out.value, e.adjoint, t.adjoint))
-        assert grads[0][0].tobytes() == grads[1][0].tobytes()
-        tol = 1e-12 if dtype == np.float64 else 1e-5
-        for got, want in zip(grads[0][1:], grads[1][1:]):
-            assert got.dtype == dtype
-            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
 
 class TestNllLoss:
@@ -136,10 +134,10 @@ class TestNllLoss:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_one_node_matches_the_op_composition(self, rng, dtype):
-        """The fused node against log-softmax, a constant mask, mul, sum_all
-        and smul: the same gradient bits. The value sums only the picked
-        entries, in row then column order, so it equals that sum bit for bit
-        and the composition's full-matrix sum to a few ulps."""
+        """The fused node against log-softmax times a constant mask, summed
+        and scaled, in numpy: the same gradient bits. The value sums only the
+        picked entries, in row then column order, so it equals that sum bit
+        for bit and the full-matrix sum to a few ulps."""
         for _ in range(20):
             b, n = int(rng.integers(1, 7)), int(rng.integers(2, 300))
             scores = (rng.normal(size=(b, n)) * 4).astype(dtype)
@@ -148,20 +146,22 @@ class TestNllLoss:
             mask = np.zeros((b, n), dtype=dtype)
             for r, targets in enumerate(target_sets):
                 mask[r, sorted(targets)] = 1.0
-            fused_in, parts_in = nm.parameter(scores, dtype), nm.parameter(scores, dtype)
+            fused_in = nm.parameter(scores, dtype)
             fused = tr.nll_loss(fused_in, target_sets)
-            picked = mul(nm.log_softmax_rows(parts_in), nm.constant(mask, dtype))
-            parts = nm.smul(sum_all(picked), -1.0 / (b * n))
             assert fused.parents == (fused_in,)
+            c = -1.0 / (b * n)
             rows, cols = np.nonzero(mask)
             y = kernels.log_softmax_rows(scores)
-            want = y[rows, cols].sum().reshape(1, 1) * (-1.0 / (b * n))
+            want = y[rows, cols].sum().reshape(1, 1) * c
             assert fused.value.dtype == dtype and fused.value.tobytes() == want.tobytes()
             eps = np.finfo(dtype).eps
-            assert abs(fused.item() - parts.item()) <= 8 * eps * abs(parts.item())
-            for root in (fused, parts):
-                nm.backward(nm.smul(root, 1.7))
-            assert fused_in.adjoint.tobytes() == parts_in.adjoint.tobytes()
+            parts = float((y * mask).sum() * c)
+            assert abs(fused.item() - parts) <= 8 * eps * abs(parts)
+            nm.backward(nm.smul(fused, 1.7))
+            # the seed the chain smul(1.7), smul(c), sum, mask product hands down
+            seed = np.ones((1, 1), dtype) * 1.7 * c
+            grad = kernels.log_softmax_rows_grad(y, np.broadcast_to(seed, mask.shape) * mask)
+            assert fused_in.adjoint.tobytes() == grad.tobytes()
 
     @pytest.mark.parametrize("target_sets", [[{0}, set()], [{0}, {4}], [{-1}, {1}], [{0}]])
     def test_bad_target_sets_rejected(self, target_sets):
@@ -301,19 +301,25 @@ def graph_size(root):
 
 
 def test_loss_graph_size_independent_of_batch(tiny_corpus):
+    """Both CL terms on: 7 leaves, the item table, the batch's gather and
+    bundle node, the scores and the NLL, 9 nodes per CL term (the positives'
+    encode, 5 InfoNCE nodes, the weight and the add) and 3 for L2. A second
+    bundle layer adds only its two weight leaves."""
     catalog, features, graph, cf = tiny_corpus
-    cfg = small_config()
-    rng = np.random.default_rng(3)
-    model = tr.init_model(catalog.n_items, features.dim, cf, cfg, rng)
     inputs = build_item_inputs(catalog, features, cf, graph, frozenset(range(60)), np.float32)
-    sizes = []
-    for batch in (4, 32):
-        views = [sample_partial(catalog.bundles[b % catalog.n_bundles], 0.5, rng, bundle_index=b)
-                 for b in range(batch)]
-        assert len({len(v.seeds) for v in views}) > 1
-        loss, _ = tr.total_loss(views, model, inputs, rng)
-        sizes.append(graph_size(loss))
-    assert sizes[0] == sizes[1] < 100, sizes
+    for z_layers, want in ((1, 33), (2, 35)):
+        cfg = small_config(**{"model.z_layers": z_layers})
+        assert cfg.alpha1 > 0 and cfg.alpha2 > 0 and cfg.augment.item_mode != "NA"
+        rng = np.random.default_rng(3)
+        model = tr.init_model(catalog.n_items, features.dim, cf, cfg, rng)
+        sizes = []
+        for batch in (4, 32):
+            views = [sample_partial(catalog.bundles[b % catalog.n_bundles], 0.5, rng,
+                                    bundle_index=b) for b in range(batch)]
+            assert len({len(v.seeds) for v in views}) > 1
+            loss, _ = tr.total_loss(views, model, inputs, rng)
+            sizes.append(graph_size(loss))
+        assert sizes == [want, want], (z_layers, sizes)
 
 
 class TestReductionEquivalence:
