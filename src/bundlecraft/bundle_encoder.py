@@ -81,8 +81,9 @@ def _set_shape(rows, groups, mask):
 
 def _encode(h, matrices, size, groups, mask):
     """The set means of member-major rows ``h`` after one attention layer per
-    ``Wk Wq^T`` in ``matrices``, and each layer's (input rows, softmax
-    weights, h @ m), which the backward reads."""
+    ``Wk Wq^T`` in ``matrices``, each layer's (input rows, softmax weights,
+    h @ m), which the backward reads, and the last layer's rows. A
+    non-finite layer or mean raises :class:`NonFiniteError`."""
     layers = []
     for m in matrices:
         out, p, hm = nm.attention_forward(h, m, size, groups, mask)
@@ -91,7 +92,7 @@ def _encode(h, matrices, size, groups, mask):
         h = out
     e = nm.set_mean(h, size, groups, mask)
     nm.check_finite(e, "set mean")
-    return e, layers
+    return e, layers, h
 
 
 def encode_bundle(member_rows, params, use_attention=True, groups=1, mask=None):
@@ -114,7 +115,7 @@ def encode_bundle(member_rows, params, use_attention=True, groups=1, mask=None):
         if w_k.shape != (d, d) or w_q.shape != (d, d):
             raise ShapeError(f"encode_bundle: weights {w_k.shape}, {w_q.shape} for width {d}")
     ms = attention_matrices(params, use_attention)
-    e, cache = _encode(member_rows.value, ms, size, groups, mask)
+    e, cache, _ = _encode(member_rows.value, ms, size, groups, mask)
     count = nm.member_count(size, mask, e.dtype)
 
     def rule(g):

@@ -20,31 +20,18 @@ from .cf_pretrain import load_cf, pretrain, save_cf
 from .errors import (
     BundlecraftError,
     ConfigError,
-    CorpusFormatError,
     DivergenceError,
-    InsufficientDataError,
     IntegrityError,
     NonFiniteError,
     SynthSpecError,
 )
-from .evaluation import evaluate, explain, make_scorer, make_set_scorer, rank_candidates
+from .evaluation import SETTINGS, evaluate, explain, make_scorer, make_set_scorer, rank_candidates
 from .trainer import fit, load_checkpoint, save_checkpoint
 
 log = logging.getLogger("bundlecraft")
 
 # named child streams of the run seed; fit() consumes 0..2
 STREAM_INIT, STREAM_TRAIN, STREAM_VAL, STREAM_EVAL = range(4)
-
-_INPUT_ERRORS = (
-    ConfigError,
-    CorpusFormatError,
-    IntegrityError,
-    InsufficientDataError,
-    SynthSpecError,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-)
 
 
 def eval_rng(seed):
@@ -82,9 +69,6 @@ def build_parser():
     p = sub.add_parser("pretrain", help="pretrain CF embeddings on the interaction graph")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, help="propagation layers")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
     _add_config_args(p)
     p.set_defaults(func=cmd_pretrain)
 
@@ -99,7 +83,7 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test bundles")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--setting", choices=["standard", "warm", "sparsify", "noisify"], default="standard")
+    p.add_argument("--setting", choices=SETTINGS, default="standard")
     p.add_argument("--rate", type=float, default=0.0, help="corruption rate for sparsify/noisify")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--eval-repeats", type=int, default=1, dest="repeats")
@@ -148,10 +132,6 @@ def cmd_synth(args):
 
 def cmd_pretrain(args):
     config = _resolved_config(args)
-    for flag, key in (("k", "k_layers"), ("epochs", "epochs"), ("lr", "lr")):
-        value = getattr(args, flag)
-        if value is not None:
-            config = config_mod.apply_set(config, f"cf.{key}={value}")
     _, _, graph = corpus_mod.load_dir(args.data)
     rng = np.random.default_rng(config["seed"])
     emb = pretrain(
@@ -331,13 +311,10 @@ def main(argv=None):
         # raise, as one line; numpy's warnings on the way would bury it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DivergenceError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except BundlecraftError as exc:
+    except (OSError, BundlecraftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -59,8 +59,6 @@ DEFAULTS = {
         "use_feedback": True,
         "use_item_attention": True,
         "use_bundle_attention": True,
-        "use_item_cl": True,
-        "use_bundle_cl": True,
     },
 }
 
@@ -130,8 +128,6 @@ class AblationFlags:
     use_feedback: bool
     use_item_attention: bool
     use_bundle_attention: bool
-    use_item_cl: bool
-    use_bundle_cl: bool
 
 
 @dataclass(frozen=True)

@@ -345,25 +345,6 @@ def load(interactions_path, affiliations_path, text_feat_path, media_feat_path, 
     return catalog, features, graph
 
 
-def save(out_dir, catalog, features, graph):
-    """Write the corpus back in the standard formats (round-trip of :func:`load`)."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "item_index.tsv"), "w", encoding="utf-8") as fh:
-        for row, token in enumerate(catalog.item_tokens):
-            fh.write(f"{token}\t{row}\n")
-    with open(os.path.join(out_dir, "affiliations.tsv"), "w", encoding="utf-8") as fh:
-        for bt, members in zip(catalog.bundle_tokens, catalog.bundles):
-            for idx in sorted(members):
-                fh.write(f"{bt}\t{catalog.item_tokens[idx]}\n")
-    with open(os.path.join(out_dir, "interactions.tsv"), "w", encoding="utf-8") as fh:
-        for u, i in zip(graph.user_idx, graph.item_idx):
-            fh.write(f"{catalog.user_tokens[u]}\t{catalog.item_tokens[i]}\n")
-    write_features(os.path.join(out_dir, "features_text.bin"), features.text, features.text_present)
-    write_features(os.path.join(out_dir, "features_media.bin"), features.media, features.media_present)
-
-
 def corpus_paths(data_dir):
     """Standard file names inside a corpus directory."""
     import os

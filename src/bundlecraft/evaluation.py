@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .bundle_encoder import attention_matrices, encode_sets_forward
+from .bundle_encoder import _encode, attention_matrices, encode_sets_forward
 from .corpus import corrupt_partial
 from .errors import IntegrityError
 from .item_encoder import attended_slots, encode_item_table_forward
@@ -351,7 +351,9 @@ def explain(model, inputs, bundle_items, bundle_index=-1):
 
     Per item: cosine between each last-layer feature row and the fused item
     vector. Per bundle: cosine between each last-layer item row and the
-    bundle vector. Emits 3n + n rows for an n-item bundle.
+    bundle vector. Emits 3n + n rows for an n-item bundle. The bundle half
+    runs the scorers' checked set forward, so a non-finite layer raises
+    :class:`NonFiniteError`.
     """
     cfg = model.config
     dtype = nm.DTYPES[cfg.precision]
@@ -372,11 +374,12 @@ def explain(model, inputs, bundle_items, bundle_index=-1):
                 {"item": i, "slot": s, "cosine": _np_cosine(sv[i], table[i])}
             )
 
-    attended = table[np.asarray(items, dtype=np.int64)]
-    for m in attention_matrices(model.bundle_params, cfg.ablation.use_bundle_attention):
-        attended = nm.attention_forward(attended, m, len(items), 1)[0]
-    e = attended.mean(axis=0)
+    e, _, attended = _encode(
+        table[np.asarray(items, dtype=np.int64)],
+        attention_matrices(model.bundle_params, cfg.ablation.use_bundle_attention),
+        len(items), 1, None,
+    )
     bundle_rows = [
-        {"item": i, "cosine": _np_cosine(attended[j], e)} for j, i in enumerate(items)
+        {"item": i, "cosine": _np_cosine(attended[j], e[0])} for j, i in enumerate(items)
     ]
     return {"bundle": bundle_index, "features": feature_rows, "items": bundle_rows}

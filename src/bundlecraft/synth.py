@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import _merge
-from .corpus import split_indices, write_features
+from .corpus import sample_partial, split_indices, write_features
 from .errors import ConfigError, SynthSpecError
 from .evaluation import rank_candidates, recall_at_k
 
@@ -114,6 +114,18 @@ def _draw_members(pool, size, skew, rng):
     return [pool[int(k)] for k in picked]
 
 
+def _swap_in_noise(members, pool, rate, rng):
+    """Replace each member, with probability ``rate``, by a uniform draw from
+    ``pool`` (cross-topic items) that is not already a member."""
+    for pos in range(len(members)):
+        if rng.random() < rate and len(pool) > len(members):
+            while True:
+                other = pool[int(rng.integers(0, len(pool)))]
+                if other not in members:
+                    members[pos] = other
+                    break
+
+
 def generate(spec, out_dir):
     """Write the six corpus files and return the manifest dict."""
     spec.validate()
@@ -147,14 +159,7 @@ def generate(spec, out_dir):
             raise SynthSpecError(f"topic {topic} has too few warm items for a bundle")
         members = _draw_members(pool, size, spec.popularity_skew, rng)
         noise_pool = [i for i in range(n) if topic_of[i] != topic and i not in cold]
-        for pos in range(len(members)):
-            if rng.random() < spec.cross_topic_noise and len(noise_pool) > len(members):
-                while True:
-                    other = noise_pool[int(rng.integers(0, len(noise_pool)))]
-                    if other in members:
-                        continue
-                    members[pos] = other
-                    break
+        _swap_in_noise(members, noise_pool, spec.cross_topic_noise, rng)
         bundles[b] = sorted(set(members))
 
     warm = set()
@@ -171,14 +176,7 @@ def generate(spec, out_dir):
         size = min(bundle_sizes[b], len(pool))
         members = _draw_members(pool, size, spec.popularity_skew, rng)
         warm_other = [i for i in sorted(warm) if topic_of[i] != topic]
-        for pos in range(len(members)):
-            if rng.random() < spec.cross_topic_noise and len(warm_other) > len(members):
-                while True:
-                    other = warm_other[int(rng.integers(0, len(warm_other)))]
-                    if other in members:
-                        continue
-                    members[pos] = other
-                    break
+        _swap_in_noise(members, warm_other, spec.cross_topic_noise, rng)
         planted = None
         if b in test_set and cold:
             topic_cold = [i for i in topic_members[topic] if i in cold and i not in members]
@@ -266,14 +264,8 @@ def _oracle_self_check(bundles, topic_of, test_idx, rng, k=20):
     recalls = []
     n = len(topic_of)
     for b in test_idx:
-        members = bundles[b]
-        n_seed = max(1, len(members) // 2)
-        order = rng.permutation(len(members))
-        seeds = {members[int(j)] for j in order[:n_seed]}
-        targets = {members[int(j)] for j in order[n_seed:]}
-        if not targets:
-            continue
-        scores = topic_oracle_scores(seeds, topic_of, n)
-        ranked = rank_candidates(scores, seeds, k)
-        recalls.append(recall_at_k(ranked, targets, k))
+        view = sample_partial(bundles[b], 0.5, rng, bundle_index=b)
+        scores = topic_oracle_scores(view.seeds, topic_of, n)
+        ranked = rank_candidates(scores, view.seeds, k)
+        recalls.append(recall_at_k(ranked, view.targets, k))
     return float(np.mean(recalls)) if recalls else 0.0

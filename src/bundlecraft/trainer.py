@@ -107,12 +107,6 @@ def init_model(n_items, feat_dim, cf, config, rng):
 # loss pieces
 # ---------------------------------------------------------------------------
 
-def score(e_b, item_table):
-    """Inner-product scores of every item against each bundle vector, as one
-    node ``e_b @ item_table^T`` that copies no transpose."""
-    return nm.matmul_nt(e_b, item_table)
-
-
 def nll_loss(scores, target_sets):
     """Mean over the B rows of a B x N score matrix of (1/N) times the sum of
     -log softmax(row) over that row's targets."""
@@ -136,7 +130,8 @@ def total_loss(views, model, inputs, rng):
 
     Returns ``(loss_node, parts)`` where ``parts`` carries the unweighted
     nll / cl_item / cl_bundle / l2 values for logging. Ablation flags swap
-    attention stacks for plain means and zero out contrastive terms.
+    attention stacks for plain means; a zero ``alpha1`` or ``alpha2`` skips
+    its contrastive term, random draws included, and logs it as 0.
     """
     if not views:
         raise IntegrityError("total_loss: empty batch")
@@ -153,10 +148,10 @@ def total_loss(views, model, inputs, rng):
                            ab.use_bundle_attention)
 
     e_batch = encode(views)
-    loss = nll_loss(score(e_batch, f_table), [v.targets for v in views])
+    loss = nll_loss(nm.matmul_nt(e_batch, f_table), [v.targets for v in views])
     parts = {"nll": loss.item(), "cl_item": 0.0, "cl_bundle": 0.0, "l2": 0.0}
 
-    if ab.use_item_cl and cfg.alpha1 > 0:
+    if cfg.alpha1 > 0:
         # drawn for the whole catalog, so the rng stream does not hang on the batch
         aug_inputs = augment_inputs(inputs, cfg.augment.item_mode, cfg.augment, rng)
         anchor_idx = sorted(set().union(*(v.seeds | v.targets for v in views)))
@@ -172,7 +167,7 @@ def total_loss(views, model, inputs, rng):
         parts["cl_item"] = cl_item.item()
         loss = nm.add(loss, nm.smul(cl_item, cfg.alpha1))
 
-    if ab.use_bundle_cl and cfg.alpha2 > 0:
+    if cfg.alpha2 > 0:
         aug_views = [
             augment_bundle(v, cfg.augment.bundle_mode, cfg.augment, rng, inputs.n_items)
             for v in views
@@ -385,7 +380,6 @@ def save_checkpoint(path, model, epoch=0, metrics=None):
         "epoch": epoch,
         "metrics": metrics or {},
         "matrices": [name for name, _ in matrices],
-        "frozen": ["cf_item_table"],
         "cf_k_layers": model.cf.k_layers,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")

@@ -55,16 +55,15 @@ TRAIN_KNOBS = {
     "cf.epochs": 10,
 }
 
+NO_CL_FLAGS = {
+    "train.alpha1": 0.0,
+    "train.alpha2": 0.0,
+}
+
 REDUCED_FLAGS = {
     "ablation.use_item_attention": False,
     "ablation.use_bundle_attention": False,
-    "ablation.use_item_cl": False,
-    "ablation.use_bundle_cl": False,
-}
-
-NO_CL_FLAGS = {
-    "ablation.use_item_cl": False,
-    "ablation.use_bundle_cl": False,
+    **NO_CL_FLAGS,
 }
 
 

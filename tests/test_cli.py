@@ -150,30 +150,39 @@ class TestPretrainCommand:
         _, _, data, _, _ = pipeline
         a = tmp_path / "a.ckpt"
         b = tmp_path / "b.ckpt"
-        args = ["pretrain", "--data", str(data), "--lr", "0", "--seed", "17"]
+        args = ["pretrain", "--data", str(data), "--set", "cf.lr=0", "--seed", "17"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert sha(a) == sha(b)
 
-    @pytest.mark.parametrize("flags", [
-        ["--k", "-1"], ["--set", "cf.k_layers=-1"], ["--set", "cf.d=0"], ["--epochs", "-1"],
-        ["--set", "cf.neg_samples=-1"], ["--lr", "-0.1"], ["--set", "cf.lr=NaN"],
-        ["--set", "cf.reg=Infinity"], ["--set", "cf.reg=-1e-4"],
-    ], ids=lambda flags: flags[-1])
-    def test_bad_cf_settings_exit_2(self, pipeline, tmp_path, flags):
+    @pytest.mark.parametrize("setting", [
+        "cf.k_layers=-1", "cf.d=0", "cf.epochs=-1", "cf.neg_samples=-1", "cf.lr=-0.1",
+        "cf.lr=NaN", "cf.reg=Infinity", "cf.reg=-1e-4",
+    ])
+    def test_bad_cf_settings_exit_2(self, pipeline, tmp_path, setting):
         _, _, data, _, _ = pipeline
         out = tmp_path / "cf.ckpt"
-        proc = cli_subprocess("pretrain", "--data", str(data), "--out", str(out), *flags)
+        proc = cli_subprocess("pretrain", "--data", str(data), "--out", str(out), "--set", setting)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "cf." in proc.stderr
+        assert setting.split("=")[0] in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--k", "--epochs", "--lr"])
+    def test_cf_shortcut_flags_are_usage_errors(self, pipeline, tmp_path, flag):
+        """``--set cf.k_layers=``, ``cf.epochs=`` and ``cf.lr=`` set these."""
+        _, _, data, _, _ = pipeline
+        out = tmp_path / "cf.ckpt"
+        proc = cli_subprocess("pretrain", "--data", str(data), "--out", str(out), flag, "2")
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+        assert f"unrecognized arguments: {flag} 2" in proc.stderr
         assert not out.exists()
 
     def test_diverged_pretrain_exits_3(self, pipeline, tmp_path, capsys):
         _, _, data, _, _ = pipeline
         out = tmp_path / "cf.ckpt"
         code = main(["pretrain", "--data", str(data), "--out", str(out), "--set", "cf.lr=1e300",
-                     "--set", "cf.d=8", "--epochs", "3"])
+                     "--set", "cf.d=8", "--set", "cf.epochs=3"])
         err = capsys.readouterr().err
         assert code == 3
         assert "diverged" in err and "Traceback" not in err
@@ -207,7 +216,7 @@ class TestTrainCommand:
         log = tmp_path / "m.log"
         args = ["train", "--data", str(data), "--cf", str(cf), "--out", str(out), "--log", str(log)]
         assert main(args + FAST_TRAIN + [
-            "--set", "train.epochs=2", "--set", "ablation.use_item_cl=false",
+            "--set", "train.epochs=2", "--set", "train.alpha1=0",
         ]) == 0
         for line in log.read_text().strip().split("\n"):
             assert json.loads(line)["cl_item"] == 0.0
@@ -423,7 +432,7 @@ class TestCompleteCommand:
     def test_overflowing_set_attention_exits_3(self, pipeline, tmp_path):
         """Large finite weights overflow the bundle-level attention logits of
         a seed set (M = Wk Wq^T = 1e38 I, item rows about 100x longer): the
-        scorer raises, and complete exits 3 with no traceback."""
+        scorer raises, and complete and explain exit 3 with no traceback."""
         _, _, data, _, model_path = pipeline
         model, epoch, metrics = load_checkpoint(str(model_path))
         assert model.bundle_params.layers
@@ -448,6 +457,25 @@ class TestCompleteCommand:
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert "numerical failure: set attention produced a non-finite value" in proc.stderr
         assert proc.stdout == ""
+
+        proc = cli_subprocess("explain", "--model", str(bad), "--data", str(data), "--bundle", "0")
+        assert proc.returncode == 3 and proc.stdout == "", proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.splitlines().count(
+            "numerical failure: set attention produced a non-finite value") == 1
+
+    @pytest.mark.parametrize("which", ["--model", "--data"])
+    def test_overlong_path_exits_2(self, pipeline, tmp_path, which):
+        """An OS error on an input path (here ENAMETOOLONG) is an input error."""
+        _, _, data, _, model = pipeline
+        paths = {"--model": str(model), "--data": str(data), which: str(tmp_path / ("x" * 300))}
+        catalog, _, _ = C.load_dir(data)
+        proc = cli_subprocess("complete", *(a for kv in paths.items() for a in kv),
+                              "--seeds", catalog.item_tokens[0])
+        assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "File name too long" in errors[0], proc.stderr
 
 
 class TestDamagedBinaryFile:
@@ -683,7 +711,11 @@ class TestMalformedCheckpoint:
          "unknown key 'slot_fill'"),
         (lambda header: header["config"]["augment"].update(negatives="batch"),
          "unknown key 'augment.negatives'"),
-    ], ids=["config", "augment", "ablation", "slot_fill", "negatives"])
+        # and so do those written before the contrastive on/off flags were
+        # deleted (train.alpha1=0 and train.alpha2=0 switch the terms off)
+        (lambda header: header["config"]["ablation"].update(use_item_cl=True),
+         "unknown key 'ablation.use_item_cl'"),
+    ], ids=["config", "augment", "ablation", "slot_fill", "negatives", "use_item_cl"])
     def test_header_config_unknown_field_exits_2(self, pipeline, tmp_path, edit, key):
         _, _, data, _, model = pipeline
         err = self.complete_subprocess(data, self.edited(model, tmp_path, edit))

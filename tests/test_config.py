@@ -46,6 +46,10 @@ def test_unknown_key_rejected(tmp_path):
         load_config(p, [])
     with pytest.raises(ConfigError, match="model.slot_fill"):
         load_config(None, ["model.slot_fill=foo"])
+    # contrastive learning is off at train.alpha1=0 and train.alpha2=0
+    for flag in ("use_item_cl", "use_bundle_cl"):
+        with pytest.raises(ConfigError, match=f"unknown key 'ablation.{flag}'"):
+            load_config(None, [f"ablation.{flag}=false"])
 
 
 def test_file_not_an_object_or_not_utf8_rejected(tmp_path):
@@ -57,9 +61,9 @@ def test_file_not_an_object_or_not_utf8_rejected(tmp_path):
 
 
 def test_set_overrides():
-    cfg = load_config(None, ["train.lr=0.002", "ablation.use_item_cl=false", "augment.item_mode=FN"])
+    cfg = load_config(None, ["train.lr=0.002", "ablation.use_feedback=false", "augment.item_mode=FN"])
     assert cfg["train"]["lr"] == 0.002
-    assert cfg["ablation"]["use_item_cl"] is False
+    assert cfg["ablation"]["use_feedback"] is False
     assert cfg["augment"]["item_mode"] == "FN"
 
 
@@ -67,7 +71,7 @@ def test_set_type_checks():
     with pytest.raises(ConfigError):
         apply_set(DEFAULTS, "train.lr=fast")
     with pytest.raises(ConfigError):
-        apply_set(DEFAULTS, "ablation.use_item_cl=1")
+        apply_set(DEFAULTS, "ablation.use_feedback=1")
     with pytest.raises(ConfigError):
         apply_set(DEFAULTS, "nosuch.key=1")
     with pytest.raises(ConfigError):
@@ -94,7 +98,7 @@ def test_booleans_rejected_for_numbers():
         with pytest.raises(ConfigError, match=assignment.split("=")[0]):
             load_config(None, [assignment])
     with pytest.raises(ConfigError):
-        apply_set(DEFAULTS, "ablation.use_item_cl=0.0")
+        apply_set(DEFAULTS, "ablation.use_feedback=0.0")
 
 
 OUT_OF_RANGE = [

@@ -282,24 +282,6 @@ class TestLoad:
             C.load_dir(tmp_path)
 
 
-def test_round_trip(tmp_path):
-    src = tmp_path / "src"
-    src.mkdir()
-    edges = [("u1", "apple"), ("u1", "plum"), ("u2", "pear")]
-    write_corpus(src, edges, BUNDLES, ITEMS, absent=[3])
-    catalog, features, graph = C.load_dir(src)
-    dst = tmp_path / "dst"
-    C.save(dst, catalog, features, graph)
-    catalog2, features2, graph2 = C.load_dir(dst)
-    assert catalog2.item_tokens == catalog.item_tokens
-    assert catalog2.user_tokens == catalog.user_tokens
-    assert catalog2.bundles == catalog.bundles
-    np.testing.assert_array_equal(features2.text, features.text)
-    np.testing.assert_array_equal(features2.text_present, features.text_present)
-    np.testing.assert_array_equal(graph2.user_idx, graph.user_idx)
-    np.testing.assert_array_equal(graph2.item_idx, graph.item_idx)
-
-
 # ---------------------------------------------------------------------------
 # the vectorised loader against the oracle
 # ---------------------------------------------------------------------------

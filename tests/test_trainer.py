@@ -55,18 +55,18 @@ def tiny_corpus(tmp_path_factory):
 
 class TestScore:
     def test_arithmetic(self):
-        out = tr.score(nm.constant([[1.0, 0.0]], F64), nm.constant([[0.5, 0.5]], F64))
+        out = nm.matmul_nt(nm.constant([[1.0, 0.0]], F64), nm.constant([[0.5, 0.5]], F64))
         assert out.value.tolist() == [[0.5]]
 
     def test_zero_bundle_vector(self, rng):
         table = rng.normal(size=(5, 3))
-        out = tr.score(nm.constant(np.zeros((1, 3)), F64), nm.constant(table, F64))
+        out = nm.matmul_nt(nm.constant(np.zeros((1, 3)), F64), nm.constant(table, F64))
         assert (out.value == 0).all()
 
     def test_matches_loop_oracle(self, rng):
         e = rng.normal(size=(1, 4))
         table = rng.normal(size=(3, 4))
-        out = tr.score(nm.constant(e, F64), nm.constant(table, F64))
+        out = nm.matmul_nt(nm.constant(e, F64), nm.constant(table, F64))
         for i in range(3):
             assert out.value[0, i] == pytest.approx(float(e[0] @ table[i]), abs=1e-12)
 
@@ -78,7 +78,7 @@ class TestScore:
         e0, t0 = rng.normal(size=(5, 8)).astype(dtype), rng.normal(size=(300, 8)).astype(dtype)
         g = rng.normal(size=(5, 300)).astype(dtype)
         e, t = nm.parameter(e0, dtype), nm.parameter(t0, dtype)
-        out = tr.score(e, t)
+        out = nm.matmul_nt(e, t)
         nm.backward(sum_all(mul(out, nm.constant(g, dtype))))
         t_copy = np.ascontiguousarray(t0.T)
         assert out.value.tobytes() == (e0 @ t_copy).tobytes()
@@ -328,8 +328,8 @@ class TestReductionEquivalence:
         cfg = small_config(**{
             "ablation.use_item_attention": False,
             "ablation.use_bundle_attention": False,
-            "ablation.use_item_cl": False,
-            "ablation.use_bundle_cl": False,
+            "train.alpha1": 0.0,
+            "train.alpha2": 0.0,
             "train.epochs": 2,
         })
         result = tr.fit(catalog, features, graph, cf, cfg)
@@ -517,12 +517,14 @@ def test_smoke_train_validation_rises_early(tmp_path):
 
 
 def test_ablation_flags_zero_terms(rng):
-    model, inputs, views = toy_setup(
-        rng, **{"ablation.use_item_cl": False, "ablation.use_bundle_cl": False}
-    )
-    _, parts = tr.total_loss(views, model, inputs, np.random.default_rng(2))
+    """Zero weights skip both contrastive terms and their random draws."""
+    model, inputs, views = toy_setup(rng, alpha1=0.0, alpha2=0.0)
+    draws = np.random.default_rng(2)
+    state = draws.bit_generator.state
+    _, parts = tr.total_loss(views, model, inputs, draws)
     assert parts["cl_item"] == 0.0
     assert parts["cl_bundle"] == 0.0
+    assert draws.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +543,7 @@ def full_aug_total_loss_oracle(views, model, inputs, rng):
                            ab.use_bundle_attention)
 
     e_batch = encode(views)
-    loss = tr.nll_loss(tr.score(e_batch, f_table), [v.targets for v in views])
+    loss = tr.nll_loss(nm.matmul_nt(e_batch, f_table), [v.targets for v in views])
     aug_inputs = augment_inputs(inputs, cfg.augment.item_mode, cfg.augment, rng)
     if cfg.augment.item_mode == "NA":
         f_aug = f_table
