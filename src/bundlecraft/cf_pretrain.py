@@ -14,6 +14,14 @@ whole epoch at once. So CF checkpoints differ from those written by the
 earlier per-update loop at the same seed; the same seed still writes the
 same bytes.
 
+On a host with two or more CPUs the ranking sweep and each propagation
+layer also run on a helper thread that lives for one kernel call: each
+large wave is split by rows, and the user and item sides of a layer are
+computed at the same time (see ``kernels``). That changes no bit: the
+tables are the same on one thread or two. Each epoch's log line and the
+propagation line say how the work ran, ``split over 2 threads`` or
+``inline (<reason>)``.
+
 Checkpoint format: magic ``CFE1``, u32 LE version, u32 LE M, N, d >= 1, K,
 then the user and item tables as float32 LE values row-major and nothing
 more. A NaN or inf in either table is a format error (exit 2).
@@ -148,6 +156,7 @@ def pretrain(graph, d, k_layers, epochs, lr, neg_samples, rng, reg=1e-4):
         )
 
     edge_keys = np.sort(graph.user_idx * n + graph.item_idx)
+    bpr_runs = kernels.describe(kernels.inline_because(graph.n_edges))
     for epoch in range(1, epochs + 1):
         t0 = time.perf_counter()
         order = rng.permutation(graph.n_edges)
@@ -162,16 +171,16 @@ def pretrain(graph, d, k_layers, epochs, lr, neg_samples, rng, reg=1e-4):
         if not (np.isfinite(user0).all() and np.isfinite(item0).all()):
             raise NonFiniteError(f"cf pretraining diverged in epoch {epoch}: non-finite "
                                  f"embeddings (lr={lr}, reg={reg})")
-        log.info("cf epoch %d/%d: %.3f s, %d waves, %d negatives redrawn, %d give-ups",
-                 epoch, epochs, time.perf_counter() - t0, waves, redrawn, give_ups)
+        log.info("cf epoch %d/%d: %.3f s, %d waves %s, %d negatives redrawn, %d give-ups",
+                 epoch, epochs, time.perf_counter() - t0, waves, bpr_runs, redrawn, give_ups)
         if give_ups:
             log.warning("cf epoch %d: %d negatives are observed pairs after %d redraws "
                         "(users adjacent to nearly every item)", epoch, give_ups, MAX_REDRAWS)
 
     t0 = time.perf_counter()
     layers = propagate(user0, item0, graph, k_layers)
-    log.info("cf propagation: K=%d over %d edges, %.3f s",
-             k_layers, graph.n_edges, time.perf_counter() - t0)
+    log.info("cf propagation: K=%d over %d edges, %.3f s, %s", k_layers, graph.n_edges,
+             time.perf_counter() - t0, kernels.describe(kernels.inline_because()))
     users, items = aggregate_layers(layers)
     return CfEmbeddings(
         user_table=users.astype(np.float32),

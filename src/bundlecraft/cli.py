@@ -8,6 +8,7 @@ stdout. Every subcommand is deterministic given identical inputs and seed.
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 
@@ -298,6 +299,18 @@ class _StderrHandler(logging.StreamHandler):
         return sys.stderr
 
 
+def _discard_stdout():
+    """Point stdout's descriptor at the null device, so the interpreter's
+    final flush of what a closed pipe did not take raises nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor: nothing flushes to one
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None):
     logging.basicConfig(handlers=[_StderrHandler()], level=logging.INFO, format="%(message)s",
                         force=True)
@@ -310,7 +323,15 @@ def main(argv=None):
         # a numerical failure is reported by the finiteness checks, which
         # raise, as one line; numpy's warnings on the way would bury it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        # flushed here, not at exit, so a closed stdout raises below
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout stopped reading (``complete ... | head -1``):
+        # it has what it wanted, so this is no error
+        _discard_stdout()
+        return 0
     except (DivergenceError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -18,15 +18,16 @@ keeps only test bundles whose seeds and targets consist entirely of items
 seen in at least one training bundle.
 """
 
+import functools
 import math
 import os
-import queue
 import threading
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from . import numerics as nm
 from .bundle_encoder import _encode, attention_matrices, encode_sets_forward
 from .corpus import corrupt_partial
@@ -191,23 +192,6 @@ def _blas_threads():
     return None
 
 
-def _serve_blocks(jobs):
-    """Helper thread: compute each job's block until a None job arrives,
-    handing the caller None or the exception raised. A job whose claim the
-    caller took first is skipped: the caller computed the block itself."""
-    while (job := jobs.get()) is not None:
-        rows, block, out, errstate, claim, done = job
-        if not claim.acquire(blocking=False):
-            continue
-        try:
-            with np.errstate(**errstate):
-                np.matmul(rows, block, out=out)
-        except BaseException as exc:  # raised again by the caller waiting on done
-            done.put(exc)
-        else:
-            done.put(None)
-
-
 class ScoreProduct:
     """``rows @ table_t`` for a contiguous d x N table, over two threads where
     that keeps the bits of the product taken whole.
@@ -217,20 +201,20 @@ class ScoreProduct:
     and BLAS runs on one thread. The calling thread then computes the first
     ``width`` columns, ``SPLIT_ALIGN``-aligned N/2 rounded down, and a daemon
     helper thread, started on first use, the rest; both write into one
-    output. A caller that finishes its block before the helper has started
-    the other one, because the helper's CPU is busy or descheduled, computes
-    that block itself instead of waiting. An exception in the helper is
-    raised in the caller, which always waits for a block the helper started,
-    and callers on several threads each get their own rows. Every other
-    product runs whole on the calling thread. The helper ends when the
-    object is collected.
+    output. The two blocks go through ``kernels.run_split``: a caller that
+    finishes its block before the helper has started the other one, because
+    the helper's CPU is busy or descheduled, computes that block itself
+    instead of waiting; an exception in the helper is raised in the caller,
+    which always waits for a block the helper started. Callers on several
+    threads each get their own rows. Every other product runs whole on the
+    calling thread. The helper ends when the object is collected.
     """
 
     def __init__(self, table_t):
         self.table_t = table_t
         d, n = table_t.shape
         self.width = (n // 2) // SPLIT_ALIGN * SPLIT_ALIGN
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        cpus = kernels.cpus()
         blas = _blas_threads()
         if n % SPLIT_ALIGN:
             self.whole_because = f"N={n} is not a multiple of {SPLIT_ALIGN}"
@@ -261,10 +245,7 @@ class ScoreProduct:
         with self._start:
             # a forked child keeps this object but not the thread
             if self._thread is None or not self._thread.is_alive():
-                self._jobs = queue.SimpleQueue()
-                self._thread = threading.Thread(target=_serve_blocks, args=(self._jobs,),
-                                                name="bundlecraft-score-product", daemon=True)
-                self._thread.start()
+                self._jobs, self._thread = kernels.start_helper("bundlecraft-score-product")
                 weakref.finalize(self, self._jobs.put, None)
             return self._jobs
 
@@ -274,17 +255,11 @@ class ScoreProduct:
         w = self.width
         out = np.empty((rows.shape[0], self.table_t.shape[1]),
                        dtype=np.result_type(rows, self.table_t))
-        claim, done = threading.Lock(), queue.SimpleQueue()
-        self._helper_jobs().put((rows, self._right, out[:, w:], np.geterr(), claim, done))
-        try:
-            np.matmul(rows, self._left, out=out[:, :w])
-        finally:
-            mine = claim.acquire(blocking=False)
-            failure = None if mine else done.get()
-        if mine:
-            np.matmul(rows, self._right, out=out[:, w:])
-        elif failure is not None:
-            raise failure
+        # the jobs hold the blocks, not self, so a job the helper still
+        # references does not keep this object alive
+        kernels.run_split(self._helper_jobs(),
+                          functools.partial(np.matmul, rows, self._left, out=out[:, :w]),
+                          functools.partial(np.matmul, rows, self._right, out=out[:, w:]))
         return out
 
 

@@ -19,15 +19,140 @@ row sum run one column at a time, which costs a pass per column instead of
 numpy's per-row reduction; the log-softmax pair takes catalog-wide rows and
 keeps numpy's row reductions.
 
+CF pretraining uses the second CPU of a two-CPU host where its work is
+row-independent. Each ``bpr_epoch`` or ``propagate_step`` call starts one
+helper thread and ends it before returning. ``bpr_epoch`` builds the user
+links and the item links of its schedule at the same time and splits each
+wave of ``SPLIT_MIN_ROWS`` or more updates by rows, half on the calling
+thread and half on the helper; ``propagate_step`` computes its user side and
+its item side at the same time. The halves touch disjoint rows and compute
+each row as the whole would, so the tables are the same bits on one thread
+or two. With one CPU to run on, or a stream too short to hold a wave worth
+splitting, everything runs on the calling thread and no thread starts
+(``inline_because``).
+
+Jobs reach a helper through one protocol (``run_split``), which
+``evaluation.ScoreProduct`` shares with its own long-lived helper: a job is
+a callable, a job the helper has not claimed when the caller finishes its
+own part is run by the caller, the caller's numpy error state applies in
+the helper, and the helper's exception is raised in the caller.
+
 The kernels are module attributes that callers look up at call time
-(``kernels.softmax_rows(...)``), so a tracer can rebind them by name.
+(``kernels.softmax_rows(...)``), so a tracer can rebind them by name. The
+work a helper runs calls no traced kernel: a tracer keeps one span stack
+for all threads.
 """
+
+import contextlib
+import functools
+import os
+import queue
+import threading
 
 import numpy as np
 
 # Name of the kernel path, recorded in benchmark records and matched when
 # two records are compared; numpy is the only path.
 ACTIVE = "numpy"
+# bpr_epoch runs a dependency wave of fewer updates on the calling thread
+# alone. On forty chained waves of d=64 rows over a 50k-row item table
+# (2 vCPUs), the split ran 19% slower than inline at 384 updates a wave,
+# even at 512, and 8%, 24% and 41% faster at 640, 1024 and 2048; the two
+# halves contend for the GIL, and each wave ends in a hand-off. On the
+# benchmark's pretraining stream, waves of 512 or more hold 94% of the
+# updates.
+SPLIT_MIN_ROWS = 512
+# name of the helper thread a bpr_epoch or propagate_step call starts
+CALL_HELPER_NAME = "bundlecraft-cf-helper"
+
+
+def cpus():
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def inline_because(updates=None):
+    """Why a ``bpr_epoch`` over ``updates`` updates, or a ``propagate_step``
+    when ``updates`` is None, runs on the calling thread alone; None when it
+    uses a helper thread."""
+    if cpus() < 2:
+        return "one CPU"
+    if updates is not None and updates < SPLIT_MIN_ROWS:
+        return f"{updates} updates, under {SPLIT_MIN_ROWS}"
+    return None
+
+
+def describe(reason):
+    """How a call ran, given its ``inline_because`` reason."""
+    return "split over 2 threads" if reason is None else f"inline ({reason})"
+
+
+def _serve_jobs(jobs):
+    """Helper thread: run each job until a None job arrives, handing the
+    caller None or the exception raised. A job whose claim the caller took
+    first is skipped: the caller ran it itself."""
+    while (job := jobs.get()) is not None:
+        fn, errstate, claim, done = job
+        if not claim.acquire(blocking=False):
+            continue
+        try:
+            with np.errstate(**errstate):
+                fn()
+        except BaseException as exc:  # raised again by the caller waiting on done
+            done.put(exc)
+        else:
+            done.put(None)
+
+
+def start_helper(name):
+    """A daemon helper thread serving a new job queue; returns the queue
+    and the thread. Putting None on the queue ends the thread."""
+    jobs = queue.SimpleQueue()
+    thread = threading.Thread(target=_serve_jobs, args=(jobs,), name=name, daemon=True)
+    thread.start()
+    return jobs, thread
+
+
+@contextlib.contextmanager
+def call_helper(reason):
+    """The job queue of a helper thread that lives for one call, or None,
+    starting no thread, when ``reason`` says why the call runs inline."""
+    if reason is not None:
+        yield None
+        return
+    jobs, thread = start_helper(CALL_HELPER_NAME)
+    try:
+        yield jobs
+    finally:
+        jobs.put(None)
+        thread.join()
+
+
+def run_split(jobs, mine, theirs):
+    """Run ``mine()`` on the calling thread and ``theirs()`` on the helper
+    serving ``jobs``; return when both have run.
+
+    If the helper has not claimed ``theirs`` by the time ``mine`` returns
+    (its CPU is busy, or it is still on an earlier job), the caller runs it
+    instead of waiting. A job the helper claimed is always waited for, and
+    its exception is raised here. The helper runs under the caller's numpy
+    error state. With ``jobs`` None both run on the calling thread.
+    """
+    if jobs is None:
+        mine()
+        theirs()
+        return
+    claim, done = threading.Lock(), queue.SimpleQueue()
+    jobs.put((theirs, np.geterr(), claim, done))
+    try:
+        mine()
+    finally:
+        taken = claim.acquire(blocking=False)
+        failure = None if taken else done.get()
+    if taken:
+        theirs()
+    elif failure is not None:
+        raise failure
 
 
 def softmax_rows(x):
@@ -83,9 +208,19 @@ def propagate_step(u_idx, i_idx, coeff, user_prev, item_prev):
     bit-identical to it, and float32 tables are that ``np.add.at`` on the
     upcast inputs (every product exact), rounded once. The result keeps the
     input dtype.
+
+    With two CPUs the item side runs on a helper thread while the calling
+    thread computes the user side; each side's bits are its own.
     """
-    return (_edge_sum(u_idx, i_idx, coeff, item_prev, user_prev),
-            _edge_sum(i_idx, u_idx, coeff, user_prev, item_prev))
+    sides = [None, None]
+
+    def side(k, dst, src, table, like):
+        sides[k] = _edge_sum(dst, src, coeff, table, like)
+
+    with call_helper(inline_because()) as jobs:
+        run_split(jobs, functools.partial(side, 0, u_idx, i_idx, item_prev, user_prev),
+                  functools.partial(side, 1, i_idx, u_idx, user_prev, item_prev))
+    return sides[0], sides[1]
 
 
 def _edge_sum(dst, src, coeff, table, like):
@@ -108,13 +243,13 @@ def _edge_sum(dst, src, coeff, table, like):
     order = np.argsort(dst.astype(np.int64, copy=False) * e + np.arange(e))
     indptr = np.zeros(like.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(dst, minlength=like.shape[0]), out=indptr[1:])
-    adj = csr_matrix((coeff[order].astype(np.float64, copy=False), src[order], indptr),
-                     shape=(like.shape[0], table.shape[0]))
+    data = np.take(coeff, order).astype(np.float64, copy=False)
+    adj = csr_matrix((data, np.take(src, order), indptr), shape=(like.shape[0], table.shape[0]))
     out = adj @ table.astype(np.float64, copy=False)
     return out.astype(like.dtype, copy=False)
 
 
-def _dependency_waves(us, pos, neg):
+def _dependency_waves(us, pos, neg, jobs=None):
     """Schedule the updates ``(us[n], pos[n], neg[n])`` in dependency waves.
 
     An update's wave is one more than the latest wave among the earlier
@@ -125,25 +260,33 @@ def _dependency_waves(us, pos, neg):
 
     Each update links to the next update that touches each of its rows, so
     a row's updates form a chain in stream order; the waves are the
-    frontiers of a topological sort of those links.
+    frontiers of a topological sort of those links. The user links are built
+    on the helper serving ``jobs``, if any, while the caller builds the item
+    links; the two write disjoint columns.
     """
     n = us.shape[0]
     # children[k] = the next updates after k on its user row, its pos row
     # and its neg row, or -1; ``flat`` is its row-major view
     children = np.full((n, 3), -1, dtype=np.int64)
     flat = children.ravel()
-    order = np.argsort(us.astype(np.int64, copy=False) * n + np.arange(n))
-    rows = us[order]
-    same = rows[1:] == rows[:-1]
-    flat[3 * order[:-1][same]] = order[1:][same]
-    # item events (n, 2) in update order, pos before neg, so ties sort by update;
-    # event e is update e >> 1 and sits in column 1 + (e & 1)
-    items = np.stack([pos, neg], axis=1).ravel().astype(np.int64, copy=False)
-    order = np.argsort(items * (2 * n) + np.arange(2 * n))
-    rows, update = items[order], order >> 1
-    same = (rows[1:] == rows[:-1]) & (update[1:] != update[:-1])
-    event = order[:-1][same]
-    flat[3 * (event >> 1) + 1 + (event & 1)] = update[1:][same]
+
+    def user_links():
+        order = np.argsort(us.astype(np.int64, copy=False) * n + np.arange(n))
+        rows = us[order]
+        same = rows[1:] == rows[:-1]
+        flat[3 * order[:-1][same]] = order[1:][same]
+
+    def item_links():
+        # item events (n, 2) in update order, pos before neg, so ties sort by
+        # update; event e is update e >> 1 and sits in column 1 + (e & 1)
+        items = np.stack([pos, neg], axis=1).ravel().astype(np.int64, copy=False)
+        order = np.argsort(items * (2 * n) + np.arange(2 * n))
+        rows, update = items[order], order >> 1
+        same = (rows[1:] == rows[:-1]) & (update[1:] != update[:-1])
+        event = order[:-1][same]
+        flat[3 * (event >> 1) + 1 + (event & 1)] = update[1:][same]
+
+    run_split(jobs, item_links, user_links)
 
     indegree = np.bincount(flat + 1, minlength=n + 1)[1:]
     front = np.flatnonzero(indegree == 0)
@@ -151,7 +294,7 @@ def _dependency_waves(us, pos, neg):
     fronts = []
     while front.size:
         fronts.append(front)
-        child = children[front].ravel()
+        child = np.take(children, front, axis=0).ravel()
         child = child[child >= 0]
         np.subtract.at(indegree, child, 1)
         child = child[indegree[child] == 0]
@@ -183,30 +326,50 @@ def bpr_epoch(user, item, us, pos, neg, lr, reg):
     differently from the textbook form ``p + lr*(grad - reg*p)`` in the last
     place. Within an update the item writes go ``pos`` then ``neg``, so an
     update with ``pos == neg`` keeps the ``neg`` write.
+
+    With two CPUs and ``SPLIT_MIN_ROWS`` or more updates, the call starts a
+    helper thread and ends it before returning: the helper builds half of
+    the schedule's links and computes the second half of the rows of each
+    wave of ``SPLIT_MIN_ROWS`` or more updates. A wave's rows are disjoint,
+    so the halves neither read nor write each other's rows, and the result
+    is the same bits as on one thread.
     """
-    order, bounds = _dependency_waves(us, pos, neg)
-    us, pos, neg = us[order], pos[order], neg[order]
     c = 1.0 - lr * reg
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        u, i, j = us[a:b], pos[a:b], neg[a:b]
-        pu, pi, pj = user[u], item[i], item[j]
-        diff = pi - pj
-        x = np.einsum("ij,ij->i", pu, diff)
-        # g = lr * sigmoid(-x), as e / (1 + e) or 1 / (1 + e) with e = exp(-|x|)
-        e = np.exp(-np.abs(x))
-        g = np.where(x >= 0.0, e, 1.0)
-        g /= 1.0 + e
-        g *= lr
-        g = g[:, None]
-        diff *= g
-        step = g * pu
-        pu *= c
-        pu += diff
-        pi *= c
-        pi += step
-        pj *= c
-        pj -= step
-        user[u] = pu
-        item[i] = pi
-        item[j] = pj
+    with call_helper(inline_because(us.shape[0])) as jobs:
+        order, bounds = _dependency_waves(us, pos, neg, jobs)
+        us, pos, neg = np.take(us, order), np.take(pos, order), np.take(neg, order)
+
+        def update(a, b):
+            u, i, j = us[a:b], pos[a:b], neg[a:b]
+            # np.take, unlike fancy indexing, lets the other thread run
+            # while it gathers; pos rows, then neg rows: one gather and one
+            # decay for both
+            pu = np.take(user, u, axis=0)
+            pij = np.take(item, np.concatenate((i, j)), axis=0)
+            pi, pj = pij[: b - a], pij[b - a :]
+            diff = pi - pj
+            x = np.einsum("ij,ij->i", pu, diff)
+            # g = lr * sigmoid(-x), as e / (1 + e) or 1 / (1 + e) with e = exp(-|x|)
+            e = np.exp(-np.abs(x))
+            g = np.where(x >= 0.0, e, 1.0)
+            g /= 1.0 + e
+            g *= lr
+            g = g[:, None]
+            diff *= g
+            step = g * pu
+            pu *= c
+            pu += diff
+            pij *= c
+            pi += step
+            pj -= step
+            user[u] = pu
+            item[i] = pi
+            item[j] = pj
+
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if jobs is None or b - a < SPLIT_MIN_ROWS:
+                update(a, b)
+            else:
+                mid = (a + b) // 2
+                run_split(jobs, functools.partial(update, a, mid), functools.partial(update, mid, b))
     return len(bounds) - 1

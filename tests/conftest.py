@@ -1,5 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
+
+from bundlecraft.kernels import CALL_HELPER_NAME
+
+
+@pytest.fixture(autouse=True)
+def no_cf_helper_left():
+    """Fail a test that leaves alive a helper thread of a ``bpr_epoch`` or
+    ``propagate_step`` call: each call ends its helper before returning."""
+    yield
+    alive = [t for t in threading.enumerate() if t.name == CALL_HELPER_NAME]
+    if alive:
+        pytest.fail(f"{len(alive)} {CALL_HELPER_NAME} thread(s) still alive after the test")
 
 
 @pytest.fixture

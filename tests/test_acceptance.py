@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import bundlecraft.numerics as nm
-from bundlecraft import baselines
 from bundlecraft import corpus as C
 from bundlecraft import trainer as tr
 from bundlecraft.bundle_encoder import encode_bundle, init_bundle_params
@@ -29,6 +28,8 @@ from bundlecraft.evaluation import evaluate, make_scorer, make_set_scorer, ndcg_
 from bundlecraft.item_encoder import ItemInputs, build_item_inputs
 from bundlecraft.synth import SynthSpec, generate
 from bundlecraft.trainer import fit, nll_loss, total_loss
+
+import baselines
 
 pytestmark = pytest.mark.acceptance
 

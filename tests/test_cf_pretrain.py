@@ -206,8 +206,9 @@ class TestPretrain:
                         rng=np.random.default_rng(6))
         lines = [r.getMessage() for r in caplog.records
                  if r.levelname == "INFO" and r.getMessage().startswith("cf epoch")]
-        waves = [int(re.fullmatch(r"cf epoch \d/2: \d+\.\d{3} s, (\d+) waves, \d+ negatives "
-                                  r"redrawn, \d+ give-ups", line).group(1)) for line in lines]
+        waves = [int(re.fullmatch(r"cf epoch \d/2: \d+\.\d{3} s, (\d+) waves inline \(6 updates, "
+                                  r"under 512\), \d+ negatives redrawn, \d+ give-ups",
+                                  line).group(1)) for line in lines]
         assert len(returned) == 6 and min(returned) >= 2
         assert waves == [sum(returned[:3]), sum(returned[3:])]
 
@@ -219,7 +220,31 @@ class TestPretrain:
         lines = [r.getMessage() for r in caplog.records
                  if r.levelname == "INFO" and r.getMessage().startswith("cf propagation")]
         assert len(lines) == 1
-        assert re.fullmatch(r"cf propagation: K=3 over 4 edges, \d+\.\d{3} s", lines[0])
+        assert re.fullmatch(r"cf propagation: K=3 over 4 edges, \d+\.\d{3} s, "
+                            r"(split over 2 threads|inline \(one CPU\))", lines[0])
+
+    @pytest.mark.parametrize("cpus, users, bpr_runs, propagation_runs", [
+        (2, 60, "split over 2 threads", "split over 2 threads"),
+        (2, 3, "inline (30 updates, under 512)", "split over 2 threads"),
+        (1, 60, "inline (one CPU)", "inline (one CPU)"),
+    ])
+    def test_lines_say_how_the_work_ran(self, caplog, monkeypatch, cpus, users, bpr_runs,
+                                        propagation_runs):
+        monkeypatch.setattr(cf.kernels.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        g = graph_of([(u, (7 * u + k) % 50) for u in range(users) for k in range(10)], users, 50)
+        with caplog.at_level("INFO", logger="bundlecraft.cf_pretrain"):
+            emb = cf.pretrain(g, d=4, k_layers=2, epochs=2, lr=0.05, neg_samples=2,
+                              rng=np.random.default_rng(8))
+        lines = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+        epochs = [line for line in lines if line.startswith("cf epoch")]
+        assert len(epochs) == 2 and all(f" waves {bpr_runs}, " in line for line in epochs)
+        assert [line for line in lines if line.startswith("cf propagation")][0].endswith(
+            f" s, {propagation_runs}")
+        monkeypatch.setattr(cf.kernels.os, "sched_getaffinity", lambda pid: {0})
+        one = cf.pretrain(g, d=4, k_layers=2, epochs=2, lr=0.05, neg_samples=2,
+                          rng=np.random.default_rng(8))
+        assert emb.user_table.tobytes() == one.user_table.tobytes()
+        assert emb.item_table.tobytes() == one.item_table.tobytes()
 
     # out-of-range values reach pretrain through the CLI too (tests/test_cli.py);
     # these types only through the Python API

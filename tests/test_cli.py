@@ -429,6 +429,33 @@ class TestCompleteCommand:
                            for i in rank_candidates(scores, set(seeds), 7))
         assert captured.out == expected
 
+    @pytest.mark.parametrize("buffered", [True, False], ids=["at-exit-flush", "mid-output"])
+    def test_closed_stdout_exits_0_without_an_error(self, pipeline, buffered):
+        """The reader of stdout is gone before ``complete`` writes: the ranking
+        fails on its first line (unbuffered) or at the final flush, and the
+        command still exits 0 with its logs and no error line."""
+        _, _, data, _, model = pipeline
+        token = C.load_dir(data)[0].item_tokens[0]
+        src = str(Path(bundlecraft.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bundlecraft.cli", "complete", "--model", str(model),
+                 "--data", str(data), "--seeds", token, "--k", "100"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        assert "error:" not in proc.stderr and "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr and "Broken pipe" not in proc.stderr
+        assert "complete: load " in proc.stderr
+
     def test_overflowing_set_attention_exits_3(self, pipeline, tmp_path):
         """Large finite weights overflow the bundle-level attention logits of
         a seed set (M = Wk Wq^T = 1e38 I, item rows about 100x longer): the

@@ -14,6 +14,7 @@ import pytest
 
 import bundlecraft
 from bundlecraft import evaluation as ev
+from bundlecraft import kernels
 from bundlecraft.corpus import PartialBundleView
 from bundlecraft.errors import IntegrityError
 
@@ -732,7 +733,7 @@ class TestScoreProduct:
                 with pytest.raises(FloatingPointError, match="overflow") as err:
                     call_bounded(product, rows)
                 frames = traceback.extract_tb(err.value.__traceback__)
-                from_helper += any(f.name == "_serve_blocks" for f in frames)
+                from_helper += any(f.name == "_serve_jobs" for f in frames)
         assert from_helper > 0
         with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -747,8 +748,8 @@ class TestScoreProduct:
         and returns; released, the helper skips that job and serves the next."""
         forced_split(monkeypatch)
         gate = threading.Event()
-        serve = ev._serve_blocks
-        monkeypatch.setattr(ev, "_serve_blocks", lambda jobs: gate.wait(60) and serve(jobs))
+        serve = kernels._serve_jobs
+        monkeypatch.setattr(kernels, "_serve_jobs", lambda jobs: gate.wait(60) and serve(jobs))
         product = ev.ScoreProduct(table(rng, 64, 50000))
         rows = rng.standard_normal((2, 64)).astype(np.float32)
         want = rows @ product.table_t

@@ -1,3 +1,9 @@
+import contextlib
+import sys
+import threading
+import traceback
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,7 +137,8 @@ def test_dependency_waves_are_disjoint_ordered_and_shortest(stream):
 def test_waves_ignoring_neg_fail_oracle(monkeypatch):
     # mutation check: a schedule blind to the neg column must be caught
     build = kernels._dependency_waves
-    monkeypatch.setattr(kernels, "_dependency_waves", lambda us, pos, neg: build(us, pos, pos))
+    monkeypatch.setattr(kernels, "_dependency_waves",
+                        lambda us, pos, neg, jobs=None: build(us, pos, pos, jobs))
     mismatched = 0
     for seed in range(6):
         want, got = bpr_pair(bpr_stream(seed, 400))
@@ -218,3 +225,263 @@ def test_softmax_rows_wide_rows_match_pairwise_sums(width):
     np.testing.assert_allclose(p, softmax_rows_oracle(x), rtol=1e-14, atol=1e-300)
     np.testing.assert_allclose(kernels.softmax_rows_grad(p, g), softmax_rows_grad_oracle(p, g),
                                rtol=1e-12, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# CF kernels over two threads
+# ---------------------------------------------------------------------------
+
+def set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def on_threads(monkeypatch):
+    """Record the thread that runs each job handed to a helper through
+    ``run_split``; returns the list of thread idents, one per job."""
+    ran_on = []
+    split = kernels.run_split
+
+    def recording(jobs, mine, theirs):
+        def traced():
+            ran_on.append(threading.get_ident())
+            theirs()
+        split(jobs, mine, theirs if jobs is None else traced)
+
+    monkeypatch.setattr(kernels, "run_split", recording)
+    return ran_on
+
+
+def mixed_stream(seed, dtype):
+    """6000 updates over 1200 users and 20000 items: early waves of several
+    hundred updates, later ones of a few, users repeating, and every sixth
+    update a ``pos == neg`` give-up."""
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, 1200, 6000)
+    pos = rng.integers(0, 20000, 6000)
+    neg = rng.integers(0, 20000, 6000)
+    neg[::6] = pos[::6]
+    return (rng.normal(size=(1200, 8)).astype(dtype), rng.normal(size=(20000, 8)).astype(dtype),
+            us, pos, neg)
+
+
+def bpr_run(monkeypatch, stream, cpus):
+    set_cpus(monkeypatch, cpus)
+    user, item, us, pos, neg = stream
+    user, item = user.copy(), item.copy()
+    waves = kernels.bpr_epoch(user, item, us, pos, neg, 0.3, 0.01)
+    return user.tobytes(), item.tobytes(), waves
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(3))
+def test_bpr_epoch_split_waves_keep_the_inline_bits(monkeypatch, seed, dtype):
+    stream = mixed_stream(seed, dtype)
+    sizes = np.diff(kernels._dependency_waves(*stream[2:])[1])
+    assert sizes.max() >= kernels.SPLIT_MIN_ROWS > sizes.min()
+    inline = bpr_run(monkeypatch, stream, 1)
+    ran_on = on_threads(monkeypatch)
+    split = bpr_run(monkeypatch, stream, 2)
+    # the link sorts, then the half of each large wave
+    assert len(ran_on) == 1 + (sizes >= kernels.SPLIT_MIN_ROWS).sum()
+    assert any(ident != threading.get_ident() for ident in ran_on)
+    assert split == inline
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bpr_epoch_short_stream_runs_inline(monkeypatch, dtype):
+    user, item, us, pos, neg = mixed_stream(0, dtype)
+    short = kernels.SPLIT_MIN_ROWS - 1
+    stream = user, item, us[:short], pos[:short], neg[:short]
+    set_cpus(monkeypatch, 2)
+    assert kernels.inline_because(short) == f"{short} updates, under {kernels.SPLIT_MIN_ROWS}"
+    assert kernels.inline_because(kernels.SPLIT_MIN_ROWS) is None
+    ran_on = on_threads(monkeypatch)
+    assert bpr_run(monkeypatch, stream, 2) == bpr_run(monkeypatch, stream, 1)
+    assert ran_on == []
+
+
+def propagate_case(seed, dtype):
+    """A graph whose users and items include rows with no edge; seed 0 has
+    no edges at all."""
+    rng = np.random.default_rng(seed)
+    m, n, d = 400, 900, 6
+    e = 0 if seed == 0 else 5000
+    u_idx = rng.integers(0, m - 50, e)
+    i_idx = rng.integers(50, n, e)
+    coeff = rng.uniform(0.01, 1.0, e).astype(dtype)
+    return (u_idx, i_idx, coeff, rng.normal(size=(m, d)).astype(dtype),
+            rng.normal(size=(n, d)).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(3))
+def test_propagate_step_sides_at_once_keep_the_sequential_bits(monkeypatch, seed, dtype):
+    case = propagate_case(seed, dtype)
+    set_cpus(monkeypatch, 1)
+    want = kernels.propagate_step(*case)
+    ran_on = on_threads(monkeypatch)
+    set_cpus(monkeypatch, 2)
+    got = kernels.propagate_step(*case)
+    assert len(ran_on) == 1
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == dtype and g.tobytes() == w.tobytes()
+    assert not got[0][-50:].any() and not got[1][:50].any()
+
+
+def test_concurrent_callers_keep_the_inline_bits(monkeypatch):
+    """Three callers at once, each with its own helper (six threads on at
+    most two CPUs), under a one-microsecond switch interval: every
+    ``bpr_epoch`` and ``propagate_step`` returns the bits of its inline run."""
+    streams = [mixed_stream(seed, np.float64) for seed in range(3)]
+    cases = [propagate_case(seed, np.float64) for seed in range(3)]
+
+    def run(k):
+        user, item, us, pos, neg = streams[k]
+        user, item = user.copy(), item.copy()
+        waves = kernels.bpr_epoch(user, item, us, pos, neg, 0.3, 0.01)
+        return ([user.tobytes(), item.tobytes(), waves]
+                + [t.tobytes() for t in kernels.propagate_step(*cases[k])])
+
+    set_cpus(monkeypatch, 1)
+    want = [run(k) for k in range(3)]
+    set_cpus(monkeypatch, 2)
+    got = [None] * 3
+
+    def caller(k):
+        got[k] = run(k)
+
+    threads = [threading.Thread(target=caller, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
+def test_run_split_raises_the_helpers_exception_in_the_caller():
+    """The helper claims the job before the caller's part ends, so the
+    exception is the helper's; a job it claimed is waited for."""
+    claimed = threading.Event()
+
+    def theirs():
+        claimed.set()
+        raise ValueError("from the helper")
+
+    with kernels.call_helper(None) as jobs:
+        with pytest.raises(ValueError, match="from the helper") as err:
+            kernels.run_split(jobs, lambda: claimed.wait(30), theirs)
+    frames = traceback.extract_tb(err.value.__traceback__)
+    assert any(f.name == "_serve_jobs" for f in frames)
+
+
+def test_run_split_runs_the_helper_under_the_callers_errstate():
+    claimed = threading.Event()
+    big = np.float32(3e38)
+
+    def theirs():
+        claimed.set()
+        return big * big
+
+    with kernels.call_helper(None) as jobs:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow") as err:
+            kernels.run_split(jobs, lambda: claimed.wait(30), theirs)
+        assert any(f.name == "_serve_jobs" for f in traceback.extract_tb(err.value.__traceback__))
+        claimed.clear()
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernels.run_split(jobs, lambda: claimed.wait(30), theirs)
+
+
+def test_bpr_epoch_overflow_in_the_helpers_half_reaches_the_caller(monkeypatch):
+    """The first wave holds 600 updates on distinct rows; only the rows of
+    its second half, the helper's, overflow ``pos - neg``."""
+    set_cpus(monkeypatch, 2)
+    n = 600
+    us, pos, neg = np.arange(n), np.arange(n), np.arange(n, 2 * n)
+    from_helper = 0
+    for _ in range(10):
+        user = np.ones((n, 4))
+        item = np.zeros((2 * n, 4))
+        item[n // 2 : n] = 1e308
+        item[n + n // 2 :] = -1e308
+        assert np.diff(kernels._dependency_waves(us, pos, neg)[1]).tolist() == [n]
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow") as err:
+            kernels.bpr_epoch(user, item, us, pos, neg, 0.1, 0.0)
+        from_helper += any(f.name == "_serve_jobs"
+                           for f in traceback.extract_tb(err.value.__traceback__))
+        assert not [t for t in threading.enumerate() if t.name == kernels.CALL_HELPER_NAME]
+    assert from_helper > 0
+
+
+def hold_the_helper(monkeypatch):
+    """Hold each call's helper before its first job until the caller is
+    done; returns, per job the helper then found, whether it could still
+    claim it."""
+    gates, claimable = [], []
+
+    def held(jobs):
+        gates[-1].wait(60)
+        while (job := jobs.get()) is not None:
+            fn, _, claim, done = job
+            claimable.append(claim.acquire(blocking=False))
+            if claimable[-1]:
+                fn()
+                done.put(None)
+
+    helper = kernels.call_helper
+
+    @contextlib.contextmanager
+    def releasing(reason):
+        gates.append(threading.Event())
+        with helper(reason) as jobs:
+            try:
+                yield jobs
+            finally:
+                gates[-1].set()
+
+    monkeypatch.setattr(kernels, "_serve_jobs", held)
+    monkeypatch.setattr(kernels, "call_helper", releasing)
+    return claimable
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_caller_computes_both_halves_when_the_helper_is_held(monkeypatch, dtype):
+    stream = mixed_stream(1, dtype)
+    case = propagate_case(1, dtype)
+    inline = bpr_run(monkeypatch, stream, 1)
+    want = kernels.propagate_step(*case)
+    claimable = hold_the_helper(monkeypatch)
+    assert bpr_run(monkeypatch, stream, 2) == inline
+    got = kernels.propagate_step(*case)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    sizes = np.diff(kernels._dependency_waves(*stream[2:])[1])
+    assert len(claimable) == 1 + (sizes >= kernels.SPLIT_MIN_ROWS).sum() + 1
+    assert not any(claimable)
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    from bundlecraft import cf_pretrain as cf
+    from test_cf_pretrain import graph_of
+
+    class NoThread:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread was started")
+
+    set_cpus(monkeypatch, 1)
+    assert kernels.inline_because() == kernels.inline_because(10**6) == "one CPU"
+    stream = mixed_stream(2, np.float64)
+    case = propagate_case(2, np.float64)
+    want = bpr_run(monkeypatch, stream, 1), kernels.propagate_step(*case)
+    monkeypatch.setattr(kernels.threading, "Thread", NoThread)
+    assert bpr_run(monkeypatch, stream, 1) == want[0]
+    for g, w in zip(kernels.propagate_step(*case), want[1]):
+        assert g.tobytes() == w.tobytes()
+    edges = [(u, i) for u in range(30) for i in range(u % 7, 60, 7)]
+    cf.pretrain(graph_of(edges, 30, 60), d=4, k_layers=2, epochs=2, lr=0.05, neg_samples=1,
+                rng=np.random.default_rng(3))

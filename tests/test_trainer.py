@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import bundlecraft.numerics as nm
-from bundlecraft import baselines
 from bundlecraft import corpus as C
 from bundlecraft import kernels
 from bundlecraft import trainer as tr
@@ -23,6 +22,7 @@ from bundlecraft.evaluation import make_scorer
 from bundlecraft.item_encoder import ItemInputs, build_item_inputs, encode_item_table
 from bundlecraft.synth import SynthSpec, generate
 
+import baselines
 from graph_ops import mul, sum_all
 
 F64 = np.float64
