@@ -180,7 +180,8 @@ def pretrain(graph, d, k_layers, epochs, lr, neg_samples, rng, reg=1e-4):
     t0 = time.perf_counter()
     layers = propagate(user0, item0, graph, k_layers)
     log.info("cf propagation: K=%d over %d edges, %.3f s, %s", k_layers, graph.n_edges,
-             time.perf_counter() - t0, kernels.describe(kernels.inline_because()))
+             time.perf_counter() - t0,
+             kernels.describe(kernels.inline_because() if k_layers else "no layers"))
     users, items = aggregate_layers(layers)
     return CfEmbeddings(
         user_table=users.astype(np.float32),

@@ -214,14 +214,17 @@ class TestPretrain:
 
     def test_logs_one_propagation_line(self, caplog):
         g = graph_of([(0, 0), (0, 1), (1, 2), (2, 2)], 3, 3)
-        with caplog.at_level("INFO", logger="bundlecraft.cf_pretrain"):
-            cf.pretrain(g, d=4, k_layers=3, epochs=2, lr=0.05, neg_samples=1,
-                        rng=np.random.default_rng(4))
-        lines = [r.getMessage() for r in caplog.records
-                 if r.levelname == "INFO" and r.getMessage().startswith("cf propagation")]
-        assert len(lines) == 1
-        assert re.fullmatch(r"cf propagation: K=3 over 4 edges, \d+\.\d{3} s, "
-                            r"(split over 2 threads|inline \(one CPU\))", lines[0])
+        for k_layers, runs in ((3, r"(split over 2 threads|inline \(one CPU\))"),
+                               (0, r"inline \(no layers\)")):
+            caplog.clear()
+            with caplog.at_level("INFO", logger="bundlecraft.cf_pretrain"):
+                cf.pretrain(g, d=4, k_layers=k_layers, epochs=2, lr=0.05, neg_samples=1,
+                            rng=np.random.default_rng(4))
+            lines = [r.getMessage() for r in caplog.records
+                     if r.levelname == "INFO" and r.getMessage().startswith("cf propagation")]
+            assert len(lines) == 1
+            assert re.fullmatch(rf"cf propagation: K={k_layers} over 4 edges, \d+\.\d{{3}} s, "
+                                rf"{runs}", lines[0])
 
     @pytest.mark.parametrize("cpus, users, bpr_runs, propagation_runs", [
         (2, 60, "split over 2 threads", "split over 2 threads"),
